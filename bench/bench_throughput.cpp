@@ -14,7 +14,10 @@
 //   4. serve_hit — the cache-hit path: keying via the allocation-free
 //                 CompiledSpeedList::fingerprint_of against the old
 //                 compile-to-fingerprint approach, plus the end-to-end
-//                 serve() latency on a warm cache.
+//                 serve() latency on a warm cache, plus fingerprint_of's
+//                 cost per entry (ns) on synthetic fleets of the default
+//                 family mix and of piecewise-linear models only (what the
+//                 model builders emit) at p = 256, 2048 and 4096.
 //   5. near_miss — serve() under near-miss traffic (same models, drifting
 //                 n: every request a cache miss) with the server's
 //                 per-fingerprint warm-start on vs. off. The slope hint
@@ -42,9 +45,11 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
+#include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
 #include "obs/metrics.hpp"
 #include "util/timer.hpp"
@@ -279,6 +284,24 @@ int main(int argc, char** argv) {
     return core::CompiledSpeedList::fingerprint_of(hit_list);
   });
   const double keying_speedup = t_key_compile / t_key_fp;
+  struct KeyingRow {
+    const char* mix;
+    std::size_t p;
+    double ns_per_entry;
+  };
+  std::vector<KeyingRow> keying;
+  for (const auto& [mix_name, mix] :
+       {std::pair{"default", core::FleetMix{}},
+        std::pair{"piecewise", core::FleetMix{0, 0, 0, 0, 1, 0}}}) {
+    for (const std::size_t p : {256, 2048, 4096}) {
+      const core::SyntheticFleet fleet = core::make_synthetic_fleet(p, 42, mix);
+      const core::SpeedList fleet_list = fleet.list();
+      const double t = best_of(5, 20, [&] {
+        return core::CompiledSpeedList::fingerprint_of(fleet_list);
+      });
+      keying.push_back({mix_name, p, t * 1e9 / static_cast<double>(p)});
+    }
+  }
   core::PartitionServer hit_server({.threads = 1});
   const std::int64_t hit_n = 1000000;
   hit_server.serve(hit_list, hit_n);  // warm the cache: one miss
@@ -321,6 +344,10 @@ int main(int argc, char** argv) {
   t.add_row({"cache keying (us)", util::fmt(t_key_compile * 1e6, 3),
              util::fmt(t_key_fp * 1e6, 3), util::fmt(keying_speedup, 2)});
   t.add_row({"serve cache hit (us)", "-", util::fmt(t_hit * 1e6, 3), "-"});
+  for (const KeyingRow& k : keying)
+    t.add_row({std::string("keying ns/entry, ") + k.mix +
+                   " p=" + util::fmt(k.p),
+               "-", util::fmt(k.ns_per_entry, 1), "-"});
   t.add_row({"serve near-miss (us/req)", util::fmt(t_nm_cold * 1e6, 3),
              util::fmt(t_nm_warm * 1e6, 3), util::fmt(nm_speedup, 2)});
   t.add_row({"near-miss search evals", util::fmt(nm_cold_out.search_evals),
@@ -346,8 +373,13 @@ int main(int argc, char** argv) {
        << "  \"serve_hit\": {\"key_compile_s\": " << t_key_compile
        << ", \"key_fingerprint_s\": " << t_key_fp
        << ", \"keying_speedup\": " << keying_speedup
-       << ", \"hit_s\": " << t_hit << "},\n"
-       << "  \"near_miss\": {\"requests\": " << kNearMissRequests
+       << ", \"hit_s\": " << t_hit << ", \"keying_ns_per_entry\": [";
+  for (std::size_t i = 0; i < keying.size(); ++i)
+    json << (i ? ", " : "") << "{\"mix\": \"" << keying[i].mix
+         << "\", \"p\": " << keying[i].p
+         << ", \"ns\": " << keying[i].ns_per_entry << "}";
+  json << "]},\n";
+  json << "  \"near_miss\": {\"requests\": " << kNearMissRequests
        << ", \"cold_search_speed_evals\": " << nm_cold_out.search_evals
        << ", \"warm_search_speed_evals\": " << nm_warm_out.search_evals
        << ", \"search_eval_ratio\": " << nm_eval_ratio

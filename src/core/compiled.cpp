@@ -1,15 +1,18 @@
 #include "core/compiled.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <typeinfo>
 
 #include "core/detail/parallel.hpp"
 #include "core/detail/simd.hpp"
@@ -20,24 +23,11 @@
 namespace fpm::core {
 namespace {
 
-// FNV-1a, 64-bit: the canonical byte-at-a-time fold. Parameters must be
-// hashed through their bit patterns (not values) so that -0.0 vs 0.0 and
-// NaN payloads cannot collide two different models onto one cache key.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+/// Fingerprint seed (the 64-bit FNV offset basis; any fixed value works).
+constexpr std::uint64_t kFingerprintSeed = 1469598103934665603ULL;
 
-inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= v & 0xffu;
-    h *= kFnvPrime;
-    v >>= 8;
-  }
-  return h;
-}
-
-inline std::uint64_t fnv_mix(std::uint64_t h, double v) {
-  return fnv_mix(h, std::bit_cast<std::uint64_t>(v));
-}
+using detail::fingerprint_mix;
+using detail::fingerprint_mix_bits;
 
 std::atomic<bool> g_compiled_enabled{true};
 std::atomic<bool> g_batched_enabled{true};
@@ -73,88 +63,107 @@ inline const detail::simd::SimdKernels* active_kernels() noexcept {
 thread_local const SpeedList* g_precompiled_speeds = nullptr;
 thread_local const CompiledSpeedList* g_precompiled_list = nullptr;
 
-/// The shared classification of one speed function: which family/wrap it
-/// compiles to and the scalar parameters, with typed pointers for the
-/// families whose data lives in pools. Both compile() and fingerprint_of()
-/// run exactly this walk, so the fingerprint of a list never depends on
-/// which of the two computed it.
-struct Classified {
-  CompiledSpeedList::Family family = CompiledSpeedList::Family::Generic;
-  CompiledSpeedList::Wrap wrap = CompiledSpeedList::Wrap::None;
-  double wrap_param = 1.0;
-  double a = 0.0, b = 0.0, c = 0.0, d = 0.0;
-  std::uint32_t count = 0;
-  const UnimodalSpeed* unimodal = nullptr;
-  const SteppedSpeed* stepped = nullptr;
-  const PiecewiseLinearSpeed* piecewise = nullptr;
+/// Every class the compiled layer reads structurally, identified by its
+/// exact dynamic type.
+enum class Kind : std::uint8_t {
+  Unknown,
+  Constant,
+  LinearDecay,
+  PowerDecay,
+  ExpDecay,
+  Unimodal,
+  Stepped,
+  Piecewise,
+  Scaled,
+  Granular,
+  GranularView,
 };
 
-Classified classify(const SpeedFunction& f) {
+struct KindRow {
+  const std::type_info* type;
+  Kind kind;
+};
+
+/// Exact-type dispatch is only sound for final classes: a subclass of a
+/// recognized family could override speed() and must stay Generic.
+template <typename T>
+consteval KindRow kind_row(Kind kind) {
+  static_assert(std::is_final_v<T>,
+                "exact-type classification needs a final class");
+  return {&typeid(T), kind};
+}
+
+constexpr KindRow kKinds[] = {
+    kind_row<PowerDecaySpeed>(Kind::PowerDecay),
+    kind_row<LinearDecaySpeed>(Kind::LinearDecay),
+    kind_row<ExpDecaySpeed>(Kind::ExpDecay),
+    kind_row<PiecewiseLinearSpeed>(Kind::Piecewise),
+    kind_row<ConstantSpeed>(Kind::Constant),
+    kind_row<SteppedSpeed>(Kind::Stepped),
+    kind_row<UnimodalSpeed>(Kind::Unimodal),
+    kind_row<ScaledSpeed>(Kind::Scaled),
+    kind_row<GranularSpeed>(Kind::Granular),
+    kind_row<GranularSpeedView>(Kind::GranularView),
+};
+
+Kind kind_of(const SpeedFunction& f) noexcept {
+  const std::type_info& t = typeid(f);
+  // One type_info object per class is the norm: pointer compares only.
+  for (const KindRow& row : kKinds)
+    if (&t == row.type) return row.kind;
+  // A class can own several type_info objects across shared objects, which
+  // std::type_info::operator== still equates.
+  for (const KindRow& row : kKinds)
+    if (t == *row.type) return row.kind;
+  return Kind::Unknown;
+}
+
+/// Folds the pool words of an entry (read from the unwrapped source object)
+/// into its hash `h`: the unimodal decay parameters, the steps, or the
+/// breakpoints. Breakpoint sizes and speeds run on two independent chains
+/// joined at the end (each join a bijection in the changed chain), which
+/// halves the dependent multiply latency of the longest pools.
+std::uint64_t hash_pool(std::uint64_t h, CompiledSpeedList::Family family,
+                        const SpeedFunction* inner) noexcept {
   using Family = CompiledSpeedList::Family;
-  using Wrap = CompiledSpeedList::Wrap;
-  Classified out;
-  const SpeedFunction* inner = &f;
-  Wrap wrap = Wrap::None;
-  double wrap_param = 1.0;
-  if (const auto* sc = dynamic_cast<const ScaledSpeed*>(&f)) {
-    wrap = Wrap::Scaled;
-    wrap_param = sc->factor();
-    inner = &sc->base();
-  } else if (const auto* g = dynamic_cast<const GranularSpeed*>(&f)) {
-    wrap = Wrap::Granular;
-    wrap_param = g->elements_per_item();
-    inner = &g->base();
-  } else if (const auto* gv = dynamic_cast<const GranularSpeedView*>(&f)) {
-    wrap = Wrap::Granular;
-    wrap_param = gv->elements_per_item();
-    inner = &gv->base();
+  switch (family) {
+    case Family::Unimodal: {
+      const auto* u = static_cast<const UnimodalSpeed*>(inner);
+      h = fingerprint_mix_bits(h, u->decay_x0());
+      return fingerprint_mix_bits(h, u->decay_exponent());
+    }
+    case Family::Stepped:
+      for (const SteppedSpeed::Step& st :
+           static_cast<const SteppedSpeed*>(inner)->steps()) {
+        h = fingerprint_mix_bits(h, st.at);
+        h = fingerprint_mix_bits(h, st.to);
+        h = fingerprint_mix_bits(h, st.width);
+      }
+      return h;
+    case Family::Piecewise: {
+      std::uint64_t speeds = kFingerprintSeed;
+      for (const SpeedPoint& pt :
+           static_cast<const PiecewiseLinearSpeed*>(inner)->points()) {
+        h = fingerprint_mix_bits(h, pt.size);
+        speeds = fingerprint_mix_bits(speeds, pt.speed);
+      }
+      return fingerprint_mix(h, speeds);
+    }
+    default:
+      return h;
   }
-  if (const auto* c = dynamic_cast<const ConstantSpeed*>(inner)) {
-    out.family = Family::Constant;
-    out.a = c->s0();
-  } else if (const auto* l = dynamic_cast<const LinearDecaySpeed*>(inner)) {
-    out.family = Family::LinearDecay;
-    out.a = l->s0();
-    out.b = l->max_size();
-    out.c = l->floor_speed();
-  } else if (const auto* pd = dynamic_cast<const PowerDecaySpeed*>(inner)) {
-    out.family = Family::PowerDecay;
-    out.a = pd->s0();
-    out.b = pd->x0();
-    out.c = pd->exponent();
-    out.d = pd->max_size();
-  } else if (const auto* ed = dynamic_cast<const ExpDecaySpeed*>(inner)) {
-    out.family = Family::ExpDecay;
-    out.a = ed->s0();
-    out.b = ed->lambda();
-    out.d = ed->max_size();
-  } else if (const auto* u = dynamic_cast<const UnimodalSpeed*>(inner)) {
-    out.family = Family::Unimodal;
-    out.a = u->s_low();
-    out.b = u->s_peak();
-    out.c = u->x_peak();
-    out.count = 2;
-    out.unimodal = u;
-  } else if (const auto* st = dynamic_cast<const SteppedSpeed*>(inner)) {
-    out.family = Family::Stepped;
-    out.a = st->s0();
-    out.count = static_cast<std::uint32_t>(st->steps().size());
-    out.stepped = st;
-  } else if (const auto* pw =
-                 dynamic_cast<const PiecewiseLinearSpeed*>(inner)) {
-    out.family = Family::Piecewise;
-    out.a = pw->floor_speed();
-    out.b = pw->tail_slope();
-    out.count = static_cast<std::uint32_t>(pw->points().size());
-    out.piecewise = pw;
-  } else {
-    // Unknown family (or a wrapper around one, or nested wrappers): keep
-    // the whole object behind the virtual interface.
-    return Classified{};
-  }
-  out.wrap = wrap;
-  out.wrap_param = wrap_param;
-  return out;
+}
+
+/// Counts one classification walk over a SpeedList (compile or
+/// fingerprint_of), the unit the server's per-request budget is set in.
+void count_classify_walk() noexcept {
+  static obs::Counter& walks =
+      obs::metrics().counter(obs::names::kCompiledClassifyWalks);
+  walks.add(1);
+}
+
+[[noreturn]] void throw_null_entry() {
+  throw std::invalid_argument("CompiledSpeedList: null speed function");
 }
 
 }  // namespace
@@ -281,61 +290,243 @@ void set_parallel_intersect_threshold(std::size_t entries) noexcept {
   g_parallel_threshold.store(entries, std::memory_order_relaxed);
 }
 
-CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
-  CompiledSpeedList list;
-  list.entries_.reserve(speeds.size());
+const SpeedFunction* CompiledSpeedList::classify(const SpeedFunction& f,
+                                                 Entry& e) {
+  const SpeedFunction* inner = &f;
+  e.wrap = Wrap::None;
+  e.wrap_param = 1.0;
+  Kind kind = kind_of(f);
+  switch (kind) {
+    case Kind::Scaled: {
+      const auto& sc = static_cast<const ScaledSpeed&>(f);
+      e.wrap = Wrap::Scaled;
+      e.wrap_param = sc.factor();
+      inner = &sc.base();
+      break;
+    }
+    case Kind::Granular: {
+      const auto& g = static_cast<const GranularSpeed&>(f);
+      e.wrap = Wrap::Granular;
+      e.wrap_param = g.elements_per_item();
+      inner = &g.base();
+      break;
+    }
+    case Kind::GranularView: {
+      const auto& gv = static_cast<const GranularSpeedView&>(f);
+      e.wrap = Wrap::Granular;
+      e.wrap_param = gv.elements_per_item();
+      inner = &gv.base();
+      break;
+    }
+    default:
+      break;
+  }
+  if (inner != &f) kind = kind_of(*inner);
+  e.a = e.b = e.c = e.d = 0.0;
+  e.count = 0;
+  switch (kind) {
+    case Kind::Constant: {
+      const auto& c = static_cast<const ConstantSpeed&>(*inner);
+      e.family = Family::Constant;
+      e.a = c.s0();
+      e.max_size = c.max_size();
+      break;
+    }
+    case Kind::LinearDecay: {
+      const auto& l = static_cast<const LinearDecaySpeed&>(*inner);
+      e.family = Family::LinearDecay;
+      e.a = l.s0();
+      e.b = l.max_size();
+      e.c = l.floor_speed();
+      e.max_size = e.b;
+      break;
+    }
+    case Kind::PowerDecay: {
+      const auto& pd = static_cast<const PowerDecaySpeed&>(*inner);
+      e.family = Family::PowerDecay;
+      e.a = pd.s0();
+      e.b = pd.x0();
+      e.c = pd.exponent();
+      e.d = pd.max_size();
+      e.max_size = e.d;
+      break;
+    }
+    case Kind::ExpDecay: {
+      const auto& ed = static_cast<const ExpDecaySpeed&>(*inner);
+      e.family = Family::ExpDecay;
+      e.a = ed.s0();
+      e.b = ed.lambda();
+      e.d = ed.max_size();
+      e.max_size = e.d;
+      break;
+    }
+    case Kind::Unimodal: {
+      const auto& u = static_cast<const UnimodalSpeed&>(*inner);
+      e.family = Family::Unimodal;
+      e.a = u.s_low();
+      e.b = u.s_peak();
+      e.c = u.x_peak();
+      e.count = 2;
+      e.max_size = u.max_size();
+      break;
+    }
+    case Kind::Stepped: {
+      const auto& st = static_cast<const SteppedSpeed&>(*inner);
+      e.family = Family::Stepped;
+      e.a = st.s0();
+      e.count = static_cast<std::uint32_t>(st.steps().size());
+      e.max_size = st.max_size();
+      break;
+    }
+    case Kind::Piecewise: {
+      const auto& pw = static_cast<const PiecewiseLinearSpeed&>(*inner);
+      e.family = Family::Piecewise;
+      e.a = pw.floor_speed();
+      e.b = pw.tail_slope();
+      e.count = static_cast<std::uint32_t>(pw.points().size());
+      e.max_size = pw.max_size();
+      break;
+    }
+    default:
+      // Unknown family (or a wrapper around one, or nested wrappers): keep
+      // the whole object behind the virtual interface.
+      e.family = Family::Generic;
+      e.wrap = Wrap::None;
+      e.wrap_param = 1.0;
+      e.max_size = f.max_size();
+      return &f;
+  }
+  // A wrapped entry's range is the wrapper's own (Granular rescales it).
+  if (e.wrap != Wrap::None) e.max_size = f.max_size();
+  return inner;
+}
+
+std::uint64_t CompiledSpeedList::hash_entry(const Entry& e) noexcept {
+  const std::uint64_t tag = (static_cast<std::uint64_t>(e.family) << 8) |
+                            static_cast<std::uint64_t>(e.wrap);
+  std::uint64_t h = fingerprint_mix(kFingerprintSeed, tag);
+  if (e.family == Family::Generic)
+    return fingerprint_mix(h, e.base->instance_id());
+  h = fingerprint_mix_bits(h, e.wrap_param);
+  h = fingerprint_mix_bits(h, e.max_size);
+  h = fingerprint_mix_bits(h, e.a);
+  h = fingerprint_mix_bits(h, e.b);
+  h = fingerprint_mix_bits(h, e.c);
+  h = fingerprint_mix_bits(h, e.d);
+  return fingerprint_mix(h, static_cast<std::uint64_t>(e.count));
+}
+
+std::uint64_t CompiledSpeedList::fingerprint_of(const SpeedList& speeds) {
+  // Classification only reads the objects — no pools, no allocations — so
+  // the server's cache-hit path keys requests without compiling them. The
+  // loop body is compile()'s first pass minus its bookkeeping. Each entry
+  // is hashed on its own chain and folded into the list hash with a single
+  // mix, so the chains of consecutive entries overlap in the pipeline; the
+  // fold is a bijection in the entry hash, so one differing word in any
+  // entry still changes the result.
+  count_classify_walk();
+  std::uint64_t h = fingerprint_mix(kFingerprintSeed, speeds.size());
   for (const SpeedFunction* f : speeds) {
-    if (f == nullptr)
-      throw std::invalid_argument("CompiledSpeedList: null speed function");
-    const Classified cl = classify(*f);
+    if (f == nullptr) throw_null_entry();
     Entry e;
     e.base = f;
-    e.family = cl.family;
-    e.wrap = cl.wrap;
-    e.wrap_param = cl.wrap_param;
-    e.a = cl.a;
-    e.b = cl.b;
-    e.c = cl.c;
-    e.d = cl.d;
-    e.count = cl.count;
-    switch (cl.family) {
+    const SpeedFunction* inner = classify(*f, e);
+    h = fingerprint_mix(h, hash_pool(hash_entry(e), e.family, inner));
+  }
+  return h;
+}
+
+CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
+  count_classify_walk();
+  CompiledSpeedList list;
+  const std::size_t p = speeds.size();
+  list.entries_.resize(p);
+  // Pass 1, the only walk over the input objects: classify and hash every
+  // entry exactly as fingerprint_of() does, and tally the pool and lane
+  // sizes so everything below is allocated once at its final size.
+  std::vector<const SpeedFunction*> inner(p);
+  std::size_t n_aux = 0, n_steps = 0, n_points = 0;
+  std::array<std::size_t, 8> unwrapped{};  // per Family
+  std::uint64_t h = fingerprint_mix(kFingerprintSeed, p);
+  for (std::size_t i = 0; i < p; ++i) {
+    const SpeedFunction* f = speeds[i];
+    if (f == nullptr) throw_null_entry();
+    Entry& e = list.entries_[i];
+    e.base = f;
+    inner[i] = classify(*f, e);
+    h = fingerprint_mix(h, hash_pool(hash_entry(e), e.family, inner[i]));
+    switch (e.family) {
       case Family::Unimodal:
-        e.offset = static_cast<std::uint32_t>(list.aux_.size());
-        list.aux_.push_back(cl.unimodal->decay_x0());
-        list.aux_.push_back(cl.unimodal->decay_exponent());
+        n_aux += 2;
         break;
       case Family::Stepped:
-        e.offset = static_cast<std::uint32_t>(list.steps_.size());
-        list.steps_.insert(list.steps_.end(), cl.stepped->steps().begin(),
-                           cl.stepped->steps().end());
+        n_steps += e.count;
         break;
-      case Family::Piecewise: {
-        const auto pts = cl.piecewise->points();
-        e.offset = static_cast<std::uint32_t>(list.px_.size());
-        for (const SpeedPoint& p : pts) {
-          list.px_.push_back(p.size);
-          list.ps_.push_back(p.speed);
-        }
-        // Segment slopes computed with the exact expression of
-        // PiecewiseLinearSpeed::intersect, so the compiled segment solve
-        // feeds piecewise_segment_intersect the same m it would compute per
-        // call. One padding slot per function keeps pm_ aligned with
-        // px_/ps_.
-        for (std::size_t i = 1; i < pts.size(); ++i)
-          list.pm_.push_back((pts[i].speed - pts[i - 1].speed) /
-                             (pts[i].size - pts[i - 1].size));
-        list.pm_.push_back(0.0);
+      case Family::Piecewise:
+        n_points += e.count;
         break;
-      }
       case Family::Generic:
         ++list.generic_entries_;
         break;
       default:
         break;
     }
-    e.max_size = f->max_size();
-    list.entries_.push_back(e);
+    if (e.wrap == Wrap::None) ++unwrapped[static_cast<std::size_t>(e.family)];
   }
+  list.fingerprint_ = h;
+
+  // Pass 2: copy the pool-backed data out of the unwrapped objects.
+  list.aux_.resize(n_aux);
+  list.steps_.resize(n_steps);
+  list.px_.resize(n_points);
+  list.ps_.resize(n_points);
+  list.pm_.resize(n_points);
+  std::uint32_t aux_off = 0, step_off = 0, point_off = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    Entry& e = list.entries_[i];
+    switch (e.family) {
+      case Family::Unimodal: {
+        const auto* u = static_cast<const UnimodalSpeed*>(inner[i]);
+        e.offset = aux_off;
+        list.aux_[aux_off++] = u->decay_x0();
+        list.aux_[aux_off++] = u->decay_exponent();
+        break;
+      }
+      case Family::Stepped: {
+        const auto& steps = static_cast<const SteppedSpeed*>(inner[i])->steps();
+        e.offset = step_off;
+        std::copy(steps.begin(), steps.end(), list.steps_.begin() + step_off);
+        step_off += e.count;
+        break;
+      }
+      case Family::Piecewise: {
+        const auto pts =
+            static_cast<const PiecewiseLinearSpeed*>(inner[i])->points();
+        e.offset = point_off;
+        double* px = list.px_.data() + point_off;
+        double* ps = list.ps_.data() + point_off;
+        double* pm = list.pm_.data() + point_off;
+        for (std::size_t j = 0; j < pts.size(); ++j) {
+          px[j] = pts[j].size;
+          ps[j] = pts[j].speed;
+        }
+        // Segment slopes computed with the exact expression of
+        // PiecewiseLinearSpeed::intersect, so the compiled segment solve
+        // feeds piecewise_segment_intersect the same m it would compute per
+        // call. One padding slot per function keeps pm_ aligned with
+        // px_/ps_.
+        for (std::size_t j = 1; j < pts.size(); ++j)
+          pm[j - 1] = (pts[j].speed - pts[j - 1].speed) /
+                      (pts[j].size - pts[j - 1].size);
+        pm[pts.size() - 1] = 0.0;
+        point_off += e.count;
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
   // Batch plan for intersect_all(): group the unwrapped closed-form
   // families into SoA parameter lanes, vetted unwrapped Unimodal/Stepped
   // entries into the bisection lanes; everything else (wrapped entries,
@@ -344,7 +535,35 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
   // kernels' vexp/vlog domains — anything exotic (non-normal scales,
   // negative exponents, too many steps) is a compile-time punt to
   // batch_other_, so the only runtime punt those lanes need is the
-  // beyond-max_size bracket expansion.
+  // beyond-max_size bracket expansion. Each lane is reserved at its padded
+  // upper bound (the unwrapped family count), so neither the fill nor the
+  // padding below reallocates.
+  using Col = BatchLane::Column BatchLane::*;
+  const auto reserve_lane = [&unwrapped](BatchLane& lane, Family family,
+                                         std::initializer_list<Col> cols) {
+    const std::size_t count = unwrapped[static_cast<std::size_t>(family)];
+    if (count == 0) return;
+    lane.idx.reserve(count);
+    for (const Col col : cols)
+      (lane.*col).reserve(detail::simd::padded_size(count));
+  };
+  reserve_lane(list.lane_constant_, Family::Constant, {&BatchLane::a});
+  reserve_lane(list.lane_linear_, Family::LinearDecay,
+               {&BatchLane::a, &BatchLane::b, &BatchLane::c});
+  reserve_lane(list.lane_power_, Family::PowerDecay,
+               {&BatchLane::a, &BatchLane::b, &BatchLane::c, &BatchLane::d});
+  reserve_lane(list.lane_exp_, Family::ExpDecay,
+               {&BatchLane::a, &BatchLane::b, &BatchLane::d});
+  reserve_lane(list.lane_unimodal_, Family::Unimodal,
+               {&BatchLane::a, &BatchLane::b, &BatchLane::c, &BatchLane::d,
+                &BatchLane::e, &BatchLane::f});
+  if (const std::size_t count =
+          unwrapped[static_cast<std::size_t>(Family::Stepped)]) {
+    list.lane_stepped_.idx.reserve(count);
+    list.lane_stepped_.a.reserve(detail::simd::padded_size(count));
+    list.lane_stepped_.f.reserve(detail::simd::padded_size(count));
+  }
+  list.batch_other_.reserve(p);
   const auto pos_normal = [](double v) { return std::isnormal(v) && v > 0.0; };
   for (std::size_t i = 0; i < list.entries_.size(); ++i) {
     const Entry& e = list.entries_[i];
@@ -470,57 +689,7 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
       }
     }
   }
-  list.fingerprint_ = fingerprint_of(speeds);
   return list;
-}
-
-std::uint64_t CompiledSpeedList::fingerprint_of(const SpeedList& speeds) {
-  // Content fingerprint (Generic entries degrade to pointer identity).
-  // Classification only reads the objects — no pools, no allocations — so
-  // the server's cache-hit path keys requests without compiling them.
-  std::uint64_t h = kFnvOffset;
-  h = fnv_mix(h, static_cast<std::uint64_t>(speeds.size()));
-  for (const SpeedFunction* f : speeds) {
-    if (f == nullptr)
-      throw std::invalid_argument("CompiledSpeedList: null speed function");
-    const Classified cl = classify(*f);
-    h = fnv_mix(h, (static_cast<std::uint64_t>(cl.family) << 8) |
-                       static_cast<std::uint64_t>(cl.wrap));
-    if (cl.family == Family::Generic) {
-      h = fnv_mix(
-          h, static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(f)));
-      continue;
-    }
-    h = fnv_mix(h, cl.wrap_param);
-    h = fnv_mix(h, f->max_size());
-    h = fnv_mix(h, cl.a);
-    h = fnv_mix(h, cl.b);
-    h = fnv_mix(h, cl.c);
-    h = fnv_mix(h, cl.d);
-    h = fnv_mix(h, static_cast<std::uint64_t>(cl.count));
-    switch (cl.family) {
-      case Family::Unimodal:
-        h = fnv_mix(h, cl.unimodal->decay_x0());
-        h = fnv_mix(h, cl.unimodal->decay_exponent());
-        break;
-      case Family::Stepped:
-        for (const SteppedSpeed::Step& st : cl.stepped->steps()) {
-          h = fnv_mix(h, st.at);
-          h = fnv_mix(h, st.to);
-          h = fnv_mix(h, st.width);
-        }
-        break;
-      case Family::Piecewise:
-        for (const SpeedPoint& p : cl.piecewise->points()) {
-          h = fnv_mix(h, p.size);
-          h = fnv_mix(h, p.speed);
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  return h;
 }
 
 double CompiledSpeedList::raw_speed(const Entry& e, double x) const {

@@ -12,12 +12,22 @@
 // because both sides evaluate the shared kernels of
 // detail/speed_kernels.hpp (asserted in tests).
 //
+// Classification dispatches once on each entry's exact dynamic type
+// (typeid): every recognized class is final, so the exact type decides the
+// family. compile() and fingerprint_of()
+// share that classifier and the word order of the fingerprint, and each
+// walks the list exactly once (counted by the compiled.classify_walks
+// metric): compile() hashes the entries while it copies their pools, so a
+// cold core::partition() walks its models once, a server cache hit once,
+// and a miss twice (key, then compile).
+//
 // detail::SearchState compiles its input once per search (toggled by
 // set_compiled_partitioning()), which makes all five registry algorithms
 // benefit transparently; the batch/server layer (core/server.hpp) reuses
 // the fingerprint() content hash as its cache key.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -121,16 +131,21 @@ class CompiledSpeedList {
 
   /// Content hash over (family, wrap, parameters, breakpoints) of every
   /// entry, in order — equal model lists hash equal regardless of object
-  /// identity. Generic entries hash their object address instead (identity
-  /// semantics), which is safe for caching within one process but means
-  /// two structurally equal unknown subclasses never share a cache line.
+  /// identity. Every 64-bit word (parameters by bit pattern, so -0.0/+0.0
+  /// and NaN payloads stay distinct) goes through detail::fingerprint_mix,
+  /// a bijection in either argument: two lists of the same shape that
+  /// differ in any single word always hash apart. Generic entries hash
+  /// their SpeedFunction::instance_id() (identity semantics, never reused
+  /// within the process), so two structurally equal unknown subclasses
+  /// never share a cache line and a freed model's key dies with it.
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
-  /// The fingerprint `compile(speeds)` would produce, computed without
-  /// materializing the compiled entries or SoA pools (no allocations).
-  /// This is the cache-key fast path of core/server.hpp: a cache hit needs
-  /// only the key, so it must not pay for a full compilation. compile()
-  /// itself delegates here, keeping one hashing routine.
+  /// The fingerprint `compile(speeds)` would produce, computed in one
+  /// classification walk without materializing the compiled entries or SoA
+  /// pools (no allocations). This is the cache-key fast path of
+  /// core/server.hpp: a cache hit needs only the key, so it must not pay
+  /// for a full compilation. compile() hashes the same words in the same
+  /// order inside its own walk.
   static std::uint64_t fingerprint_of(const SpeedList& speeds);
 
  private:
@@ -152,6 +167,14 @@ class CompiledSpeedList {
     std::uint32_t count = 0;   ///< pool element count
     const SpeedFunction* base = nullptr;
   };
+
+  /// Exact-type classification of `f` into `e` (family, wrap, scalar
+  /// parameters, pool count, max_size; base and offset are left alone).
+  /// Returns the unwrapped object the pool data lives in.
+  static const SpeedFunction* classify(const SpeedFunction& f, Entry& e);
+  /// Hash of an entry's family/wrap tag and scalar words (its own chain;
+  /// the list hash folds one such value per entry).
+  static std::uint64_t hash_entry(const Entry& e) noexcept;
 
   double raw_speed(const Entry& e, double x) const;
   double entry_speed(const Entry& e, double x) const;
@@ -223,6 +246,26 @@ class CompiledSpeedList {
   std::size_t generic_entries_ = 0;
   std::uint64_t fingerprint_ = 0;
 };
+
+namespace detail {
+
+/// One step of the fingerprint hash: folds a whole 64-bit word into `h`.
+/// For a fixed `h` it is a bijection in `v` (xor, then an odd multiply and
+/// an xor-shift, each invertible), and for a fixed `v` a bijection in `h`,
+/// so a single differing word anywhere in a list always survives to the
+/// final hash.
+constexpr std::uint64_t fingerprint_mix(std::uint64_t h,
+                                        std::uint64_t v) noexcept {
+  h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
+  return h ^ (h >> 32);
+}
+
+/// Doubles are hashed by bit pattern, never by value.
+inline std::uint64_t fingerprint_mix_bits(std::uint64_t h, double v) noexcept {
+  return fingerprint_mix(h, std::bit_cast<std::uint64_t>(v));
+}
+
+}  // namespace detail
 
 /// Non-owning SpeedFunction adaptor over one compiled entry, so compiled
 /// models can flow through any API expecting a SpeedList (fine-tuning, the

@@ -239,8 +239,8 @@ void PartitionServer::execute(QueuedJob job) {
   }
   ServeResult outcome;
   try {
-    outcome.result = serve(job.request.speeds, job.request.n,
-                           job.request.policy);
+    outcome.result = serve_keyed(job.request.speeds, job.request.n,
+                                 job.request.policy, job.fingerprint);
   } catch (...) {
     // Engine rejections (unknown algorithm id, invalid policy) are caller
     // errors, not load: the request was admitted and the error surfaces
@@ -261,17 +261,17 @@ void PartitionServer::execute(QueuedJob job) {
 // ---------------------------------------------------------------------------
 
 std::optional<ServeResult> PartitionServer::try_degrade(
-    const BatchRequest& request) {
+    const BatchRequest& request, KnownFingerprint fingerprint) {
   if (request.speeds.empty() || request.n < 1) return std::nullopt;
   // Observers expect a real search (their callbacks must fire per step);
   // bounded policies carry capacity constraints a rescaled distribution
   // would silently violate. Both fall through to a plain shed.
   if (request.policy.observer) return std::nullopt;
   if (request.policy.algorithm == kAlgorithmBounded) return std::nullopt;
-  const std::uint64_t fingerprint =
-      CompiledSpeedList::fingerprint_of(request.speeds);
-  const std::optional<SlopeHint> prev =
-      lookup_degradation(fingerprint, request.speeds.size());
+  const std::optional<SlopeHint> prev = lookup_degradation(
+      fingerprint ? *fingerprint
+                  : CompiledSpeedList::fingerprint_of(request.speeds),
+      request.speeds.size());
   if (!prev) return std::nullopt;
   std::optional<DegradedAnswer> answer =
       degraded_answer(request.speeds, request.n, prev->counts, prev->n);
@@ -285,9 +285,11 @@ std::optional<ServeResult> PartitionServer::try_degrade(
 }
 
 ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
-                                          ShedReason reason) {
+                                          ShedReason reason,
+                                          KnownFingerprint fingerprint) {
   if (request.slo.allow_degraded) {
-    if (std::optional<ServeResult> degraded = try_degrade(request)) {
+    if (std::optional<ServeResult> degraded =
+            try_degrade(request, fingerprint)) {
       degraded->shed_reason = reason;  // what the approximation averted
       return *std::move(degraded);
     }
@@ -299,7 +301,7 @@ ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
 }
 
 void PartitionServer::degrade_or_shed(QueuedJob&& job, ShedReason reason) {
-  ServeResult outcome = resolve_shed(job.request, reason);
+  ServeResult outcome = resolve_shed(job.request, reason, job.fingerprint);
   account(outcome, job.submitted, job.deadline, job.request.slo.priority);
   job.promise.set_value(std::move(outcome));
 }
@@ -449,6 +451,13 @@ PartitionResult PartitionServer::partition_with_hint(
 
 PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
                                        const PartitionPolicy& policy) {
+  return serve_keyed(speeds, n, policy, std::nullopt);
+}
+
+PartitionResult PartitionServer::serve_keyed(const SpeedList& speeds,
+                                             std::int64_t n,
+                                             const PartitionPolicy& policy,
+                                             KnownFingerprint fingerprint) {
   obs::TimerSpan span(metrics_.serve_latency);
   if (policy.observer) {
     // The observer is a side effect the caller expects on every call; a
@@ -469,10 +478,12 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
     PrecompiledGuard guard(speeds, compiled);
     return partition_with_hint(speeds, n, policy, compiled.fingerprint());
   }
-  // Key via the allocation-free fingerprint: a hit must not pay for a
-  // compilation it will never use.
-  const std::uint64_t fingerprint = CompiledSpeedList::fingerprint_of(speeds);
-  const std::string key = PartitionCache::make_key(fingerprint, n, policy);
+  // Key via the allocation-free fingerprint (unless an earlier step of the
+  // request already computed it): a hit must not pay for a compilation it
+  // will never use.
+  const std::uint64_t fp =
+      fingerprint ? *fingerprint : CompiledSpeedList::fingerprint_of(speeds);
+  const std::string key = PartitionCache::make_key(fp, n, policy);
   PartitionResult result;
   if (cache_.lookup(key, result)) {
     metrics_.hits.add(1);
@@ -486,7 +497,7 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
   const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
   {
     PrecompiledGuard guard(speeds, compiled);
-    result = partition_with_hint(speeds, n, policy, fingerprint);
+    result = partition_with_hint(speeds, n, policy, fp);
   }
   if (cache_.insert(key, result)) metrics_.evictions.add(1);
   return result;
@@ -505,12 +516,14 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
   slo_offered_.fetch_add(1, std::memory_order_relaxed);
   metrics_.slo_offered.add(1);
 
-  BatchRequest request{speeds, n, policy, slo};
+  KnownFingerprint fingerprint;
   if (slo.has_deadline()) {
     // A cache hit beats any deadline — probe before consulting the
     // estimate (peek: the miss will be re-counted by serve() if admitted).
     if (cache_.capacity() != 0 && !policy.observer) {
-      const std::string key = PartitionCache::make_key(speeds, n, policy);
+      fingerprint = CompiledSpeedList::fingerprint_of(speeds);
+      const std::string key =
+          PartitionCache::make_key(*fingerprint, n, policy);
       PartitionResult cached;
       if (cache_.peek(key, cached)) {
         metrics_.hits.add(1);
@@ -524,7 +537,11 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
     const double predicted =
         estimator_.service_estimate(slo.priority) * admission_slack_;
     if (predicted > slo.deadline_s) {
-      ServeResult outcome = resolve_shed(request, ShedReason::Admission);
+      // No queue here: the estimate alone rejected the request, and only
+      // admitted requests refresh it — decay it so it cannot lock in.
+      estimator_.decay(slo.priority);
+      ServeResult outcome = resolve_shed(BatchRequest{speeds, n, policy, slo},
+                                         ShedReason::Admission, fingerprint);
       account(outcome, submitted, deadline, slo.priority);
       return outcome;
     }
@@ -532,7 +549,7 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
   const Clock::time_point start = Clock::now();
   ServeResult outcome;
   try {
-    outcome.result = serve(speeds, n, policy);
+    outcome.result = serve_keyed(speeds, n, policy, fingerprint);
   } catch (...) {
     // Count the admitted request before the engine error propagates, so
     // offered == admitted + degraded + shed survives caller errors.
@@ -568,8 +585,9 @@ std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
   // the queue state. peek() so the miss is not double-counted (the worker's
   // serve() will count it).
   if (cache_.capacity() != 0 && !job.request.policy.observer) {
+    job.fingerprint = CompiledSpeedList::fingerprint_of(job.request.speeds);
     const std::string key = PartitionCache::make_key(
-        job.request.speeds, job.request.n, job.request.policy);
+        *job.fingerprint, job.request.n, job.request.policy);
     PartitionResult cached;
     if (cache_.peek(key, cached)) {
       metrics_.hits.add(1);
@@ -597,12 +615,18 @@ std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
            cls < kPriorityClasses; ++cls)
         ahead += queued_per_class_[cls];
       wait_estimate = estimator_.queue_delay(priority, ahead, threads_);
-      const double predicted =
-          (wait_estimate + estimator_.service_estimate(priority)) *
-          admission_slack_;
+      const double service = estimator_.service_estimate(priority);
+      const double budget = job.request.slo.deadline_s;
       if (job.request.slo.has_deadline() &&
-          predicted > job.request.slo.deadline_s) {
+          (wait_estimate + service) * admission_slack_ > budget) {
         reject = ShedReason::Admission;
+        // Only admitted requests refresh the service estimate, so one slow
+        // sample above the deadline would otherwise reject every later
+        // request for good. When the estimate alone explains the rejection,
+        // decay it: after a few rejections a request gets through and
+        // records a real sample. Rejections caused by the queue ahead leave
+        // it alone — those queued jobs will supply fresh samples.
+        if (service * admission_slack_ > budget) estimator_.decay(priority);
       } else {
         const JobKey key{-static_cast<int>(priority), deadline, next_seq_++};
         if (max_queue_depth_ != 0 && queue_.size() >= max_queue_depth_) {

@@ -212,9 +212,10 @@ class PartitionServer {
 
   /// Partitions on the calling thread, consulting the cache first. A
   /// cache hit returns the stored result verbatim (the key is computed via
-  /// the allocation-free fingerprint, no compilation); a miss compiles the
-  /// model once, computes via core::partition() under a PrecompiledGuard
-  /// (so the engine reuses the compilation), and stores. With warm_start on
+  /// the allocation-free fingerprint, no compilation: one walk over the
+  /// models); a miss compiles the model once (the second and last walk),
+  /// computes via core::partition() under a PrecompiledGuard (so the
+  /// engine reuses the compilation), and stores. With warm_start on
   /// (the default), misses whose fingerprint was solved before — near-miss
   /// traffic: same models, nearby n — carry the remembered slope into the
   /// engine as a PartitionHint, which narrows the search without changing
@@ -240,10 +241,15 @@ class PartitionServer {
   /// algorithm id) surface through future::get(); such requests count as
   /// admitted.
   ///
+  /// The fingerprint computed for the inline cache probe travels with the
+  /// job, so a queued miss walks its models twice in all (probe + compile).
+  ///
   /// Requests carrying a deadline are admission-controlled at submission
   /// (predicted completion past the deadline => degraded or shed without
-  /// queueing) and re-checked at dispatch (deadline already passed =>
-  /// degraded or shed without solving). The queue serves highest priority
+  /// queueing; a rejection the service estimate alone explains also decays
+  /// that estimate — see QueueDelayEstimator::decay) and re-checked at
+  /// dispatch (deadline already passed => degraded or shed without
+  /// solving). The queue serves highest priority
   /// first, earliest deadline within a class; when max_queue_depth is
   /// reached, the lowest-priority latest-deadline request (possibly the
   /// incoming one) is displaced. Every outcome fulfils the future — a
@@ -284,21 +290,35 @@ class PartitionServer {
   /// victim: lowest priority, latest deadline, newest.
   using JobKey = std::tuple<int, Clock::time_point, std::uint64_t>;
 
+  /// A request's model fingerprint once some step has computed it, so no
+  /// later step of the same request walks the models again (nullopt until
+  /// then: observer policies and a disabled cache never need one up front).
+  using KnownFingerprint = std::optional<std::uint64_t>;
+
   struct QueuedJob {
     BatchRequest request;
     std::promise<ServeResult> promise;
     Clock::time_point submitted{};
     Clock::time_point deadline{};  ///< time_point::max() when none
+    KnownFingerprint fingerprint;  ///< from submit()'s cache probe
   };
 
   void worker_loop();
   void execute(QueuedJob job);
+  /// serve() for a request whose fingerprint may already be known: a hit
+  /// walks the models once (or not at all when `fingerprint` is set), a
+  /// miss at most twice (key + compile).
+  PartitionResult serve_keyed(const SpeedList& speeds, std::int64_t n,
+                              const PartitionPolicy& policy,
+                              KnownFingerprint fingerprint);
   /// Degraded (hint store permitting and slo.allow_degraded) or Shed
   /// outcome for a request that will not get a full solve; unaccounted.
-  ServeResult resolve_shed(const BatchRequest& request, ShedReason reason);
+  ServeResult resolve_shed(const BatchRequest& request, ShedReason reason,
+                           KnownFingerprint fingerprint);
   /// Builds a degraded answer for the request from the hint store; nullopt
   /// when no usable previous solution exists.
-  std::optional<ServeResult> try_degrade(const BatchRequest& request);
+  std::optional<ServeResult> try_degrade(const BatchRequest& request,
+                                         KnownFingerprint fingerprint);
   /// resolve_shed + account + fulfil, for a job leaving the queue.
   void degrade_or_shed(QueuedJob&& job, ShedReason reason);
   /// Removes and returns every queued job (caller fulfils the promises).

@@ -170,6 +170,13 @@ void QueueDelayEstimator::record(Priority priority, double service_s) noexcept {
   update(all_, service_s);
 }
 
+void QueueDelayEstimator::decay(Priority priority) noexcept {
+  Cell& mine = per_class_[static_cast<std::size_t>(priority)];
+  Cell& cell = mine.count.load(std::memory_order_relaxed) > 0 ? mine : all_;
+  cell.ewma.store((1.0 - alpha_) * cell.ewma.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+}
+
 double QueueDelayEstimator::service_estimate(
     Priority priority) const noexcept {
   const double mine = read(per_class_[static_cast<std::size_t>(priority)]);

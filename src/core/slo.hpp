@@ -141,6 +141,14 @@ class QueueDelayEstimator {
   /// Records one observed service time (seconds) for `priority`.
   void record(Priority priority, double service_s) noexcept;
 
+  /// Scales the estimate service_estimate(priority) reads (the class's
+  /// own, or the all-class fallback) by (1 - alpha), as a zero-length
+  /// sample would, without counting a sample. Admission calls this for
+  /// rejections the service estimate alone explains: nothing else would
+  /// refresh an estimate that rejects everything, so a single slow sample
+  /// could otherwise shed its class for good.
+  void decay(Priority priority) noexcept;
+
   /// Current expected service time for one request of `priority`. Falls
   /// back to the all-class average while the class has no samples yet, and
   /// to 0 (optimistic: admit) while nothing has been observed at all.

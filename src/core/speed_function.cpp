@@ -18,6 +18,18 @@ double SpeedFunction::intersect(double slope) const {
                                    max_size(), slope);
 }
 
+std::uint64_t SpeedFunction::instance_id() const noexcept {
+  std::uint64_t id = instance_id_.load(std::memory_order_relaxed);
+  if (id != 0) return id;
+  static std::atomic<std::uint64_t> next_id{1};
+  const std::uint64_t fresh = next_id.fetch_add(1, std::memory_order_relaxed);
+  // A concurrent first call may have won the race; everyone keeps its id.
+  if (instance_id_.compare_exchange_strong(id, fresh,
+                                           std::memory_order_relaxed))
+    return fresh;
+  return id;
+}
+
 bool satisfies_shape_requirement(const SpeedFunction& f, int samples) {
   const double b = f.max_size();
   if (!(b > 0.0)) return false;

@@ -26,6 +26,8 @@
 // numerically for externally supplied functions.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -38,6 +40,15 @@ namespace fpm::core {
 /// (the single-intersection shape requirement).
 class SpeedFunction {
  public:
+  SpeedFunction() = default;
+  /// A copy is a different object: it gets its own instance_id().
+  SpeedFunction(const SpeedFunction&) noexcept {}
+  /// Assignment changes what the object models, so it drops the identity
+  /// the old content was keyed by; the next instance_id() is a fresh one.
+  SpeedFunction& operator=(const SpeedFunction&) noexcept {
+    instance_id_.store(0, std::memory_order_relaxed);
+    return *this;
+  }
   virtual ~SpeedFunction() = default;
 
   /// Absolute speed at problem size x (x in elements). Must accept any
@@ -63,6 +74,16 @@ class SpeedFunction {
   /// Execution time of a problem of size x in the reciprocal speed unit
   /// (elements per speed-unit). Proportional to wall-clock time.
   double time(double x) const { return x <= 0.0 ? 0.0 : x / speed(x); }
+
+  /// Process-unique, never-reused id of this object, assigned on the first
+  /// call (objects that are never asked pay nothing). The compiled layer
+  /// fingerprints models it cannot read structurally by this id, so a
+  /// destroyed model whose storage is reused by a new one never inherits
+  /// its cache key. Thread-safe; never 0.
+  std::uint64_t instance_id() const noexcept;
+
+ private:
+  mutable std::atomic<std::uint64_t> instance_id_{0};
 };
 
 /// Numerically checks the single-intersection shape requirement by sampling

@@ -295,7 +295,7 @@ MetricsRegistry& metrics() {
 }
 
 std::span<const MetricInfo> metric_catalogue() {
-  static constexpr std::array<MetricInfo, 37> kCatalogue{{
+  static constexpr std::array<MetricInfo, 38> kCatalogue{{
       {"partition.invocations.<algorithm>", "counter",
        "core::partition() calls per registry algorithm (the paper's "
        "basic/modified/combined family, Figs. 7-15)"},
@@ -330,6 +330,10 @@ std::span<const MetricInfo> metric_catalogue() {
        "simd_entries solved by the AVX-512F/DQ 8-wide vector variant"},
       {names::kPartitionBatchSimdEntriesNeon, "counter",
        "simd_entries solved by the AArch64 NEON 4-wide vector variant"},
+      {names::kCompiledClassifyWalks, "counter",
+       "classification walks over a request's models (compile or "
+       "fingerprint_of): the per-request cost of reading the functional "
+       "performance models before the paper's search can run"},
       {names::kPartitionWarmstartHits, "counter",
        "searches whose PartitionHint bracket verified, replacing the "
        "Fig. 18 cold bracket with a tight one around the previous slope"},

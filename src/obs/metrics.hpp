@@ -227,6 +227,11 @@ inline constexpr const char* kPartitionBatchSimdEntriesAvx512 =
     "partition.batch.simd_entries.avx512";
 inline constexpr const char* kPartitionBatchSimdEntriesNeon =
     "partition.batch.simd_entries.neon";
+// Classification walks of core/compiled: one per CompiledSpeedList::compile
+// or fingerprint_of call, each reading every model of one request once.
+// The per-request budget: a cold solve 1, a server cache hit 1, a miss 2.
+inline constexpr const char* kCompiledClassifyWalks =
+    "compiled.classify_walks";
 // Warm-start layer (PartitionHint): verified-hint hits, rejected hints, and
 // the iterations saved versus each hint's cold baseline.
 inline constexpr const char* kPartitionWarmstartHits =

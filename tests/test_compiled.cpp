@@ -1,14 +1,24 @@
 // Equivalence tests for the compiled speed-model layer (core/compiled.*):
 // bit-identical speed() / intersect() per family, closed-form intersections
 // against the generic bisection, bit-identical distributions and stats for
-// every registry algorithm with the compiled path toggled on and off, and
-// content-hash fingerprint semantics.
+// every registry algorithm with the compiled path toggled on and off,
+// content-hash fingerprint semantics (every single-word change and every
+// swap changes the hash, Generic entries keyed by a never-reused object id),
+// and the exact-type classification of a mixed wrapped fleet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <new>
+#include <string>
 #include <vector>
 
+#include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
 #include "helpers.hpp"
 
@@ -253,6 +263,25 @@ TEST(Compiled, FingerprintUsesIdentityForGenericEntries) {
             CompiledSpeedList::compile({&odd2}).fingerprint());
 }
 
+/// One model of every family the compiled layer reads structurally.
+std::vector<std::shared_ptr<const core::SpeedFunction>> one_of_each_family() {
+  return {
+      std::make_shared<core::ConstantSpeed>(100.0, 1e9),
+      std::make_shared<core::LinearDecaySpeed>(120.0, 4e8, 0.01),
+      std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.1, 1e9),
+      std::make_shared<core::ExpDecaySpeed>(150.0, 5e4, 2e6),
+      std::make_shared<core::UnimodalSpeed>(40.0, 160.0, 2e6, 3e7, 1.4, 6e8),
+      std::make_shared<core::SteppedSpeed>(
+          200.0,
+          std::vector<core::SteppedSpeed::Step>{{1e5, 150.0, 2e4},
+                                                {4e6, 90.0, 5e5}},
+          8e8),
+      std::make_shared<core::PiecewiseLinearSpeed>(
+          std::vector<core::SpeedPoint>{
+              {1e3, 180.0}, {5e5, 160.0}, {2e7, 90.0}, {4e8, 12.0}}),
+  };
+}
+
 TEST(Compiled, FingerprintOfMatchesCompileAcrossAllEnsembles) {
   // fingerprint_of is the cache-key fast path: it must reproduce the exact
   // hash compile() stores, for every family, wrapper, and the piecewise
@@ -263,16 +292,307 @@ TEST(Compiled, FingerprintOfMatchesCompileAcrossAllEnsembles) {
               CompiledSpeedList::compile(list).fingerprint())
         << e.name;
   }
-  // Wrappers and generic (unknown-subclass) entries.
-  const OddSpeed odd;
-  auto base = std::make_shared<core::ConstantSpeed>(100.0, 1e9);
-  const core::ScaledSpeed scaled(base, 0.5);
-  const core::GranularSpeed granular(base, 8.0);
-  const core::SpeedList wrapped{&odd, &scaled, &granular, base.get()};
-  EXPECT_EQ(CompiledSpeedList::fingerprint_of(wrapped),
-            CompiledSpeedList::compile(wrapped).fingerprint());
+  // Every family bare, under each wrapper, and under nested wrappers
+  // (Generic), plus unknown subclasses bare and wrapped — alone and in one
+  // list.
+  const auto families = one_of_each_family();
+  std::vector<std::shared_ptr<const core::SpeedFunction>> owned;
+  for (const auto& f : families) {
+    owned.push_back(f);
+    owned.push_back(std::make_shared<core::ScaledSpeed>(f, 0.75));
+    owned.push_back(std::make_shared<core::GranularSpeed>(f, 6.0));
+    owned.push_back(std::make_shared<core::GranularSpeedView>(*f, 3.0));
+    owned.push_back(std::make_shared<core::ScaledSpeed>(
+        std::make_shared<core::GranularSpeed>(f, 2.0), 0.5));
+  }
+  owned.push_back(std::make_shared<OddSpeed>());
+  owned.push_back(
+      std::make_shared<core::ScaledSpeed>(std::make_shared<OddSpeed>(), 0.9));
+  core::SpeedList all;
+  for (const auto& f : owned) {
+    const core::SpeedList one{f.get()};
+    EXPECT_EQ(CompiledSpeedList::fingerprint_of(one),
+              CompiledSpeedList::compile(one).fingerprint());
+    all.push_back(f.get());
+  }
+  EXPECT_EQ(CompiledSpeedList::fingerprint_of(all),
+            CompiledSpeedList::compile(all).fingerprint());
+  EXPECT_EQ(CompiledSpeedList::compile(all).generic_entries(),
+            families.size() + 2);
   EXPECT_THROW(CompiledSpeedList::fingerprint_of({nullptr}),
                std::invalid_argument);
+}
+
+TEST(Compiled, FingerprintMixKeepsBitPatternsApart) {
+  using core::detail::fingerprint_mix;
+  using core::detail::fingerprint_mix_bits;
+  for (const std::uint64_t h : {0ULL, 1ULL, 0x0123456789abcdefULL}) {
+    EXPECT_NE(fingerprint_mix_bits(h, 0.0), fingerprint_mix_bits(h, -0.0));
+    const double nan_a = std::bit_cast<double>(0x7ff8000000000001ULL);
+    const double nan_b = std::bit_cast<double>(0x7ff8000000000002ULL);
+    EXPECT_NE(fingerprint_mix_bits(h, nan_a), fingerprint_mix_bits(h, nan_b));
+    // One differing word never collides, in either argument.
+    for (std::uint64_t bit = 0; bit < 64; ++bit) {
+      EXPECT_NE(fingerprint_mix(h, 7), fingerprint_mix(h, 7 ^ (1ULL << bit)));
+      EXPECT_NE(fingerprint_mix(7, h), fingerprint_mix(7 ^ (1ULL << bit), h));
+    }
+  }
+}
+
+TEST(Compiled, FlippingAnySingleParameterWordChangesTheFingerprint) {
+  const auto up = [](double v) {
+    return std::nextafter(v, std::numeric_limits<double>::infinity());
+  };
+  using Step = core::SteppedSpeed::Step;
+  using Point = core::SpeedPoint;
+  const auto stepped = [](double s0, std::vector<Step> steps, double max) {
+    return std::make_shared<core::SteppedSpeed>(s0, std::move(steps), max);
+  };
+  const auto piecewise = [](std::vector<Point> pts) {
+    return std::make_shared<core::PiecewiseLinearSpeed>(std::move(pts));
+  };
+  const auto power = std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.1, 1e9);
+  const std::vector<Step> steps{{1e5, 150.0, 2e4}, {4e6, 90.0, 5e5}};
+  const std::vector<Point> pts{{1e3, 180.0}, {5e5, 160.0}, {2e7, 90.0},
+                               {4e8, 0.0}};
+  // Each group: the base model first, then variants that differ from it in
+  // exactly one hashed word.
+  std::vector<std::vector<std::shared_ptr<const core::SpeedFunction>>> groups;
+  groups.push_back({std::make_shared<core::ConstantSpeed>(100.0, 1e9),
+                    std::make_shared<core::ConstantSpeed>(up(100.0), 1e9),
+                    std::make_shared<core::ConstantSpeed>(100.0, up(1e9))});
+  groups.push_back(
+      {std::make_shared<core::LinearDecaySpeed>(120.0, 4e8, 0.25),
+       std::make_shared<core::LinearDecaySpeed>(up(120.0), 4e8, 0.25),
+       std::make_shared<core::LinearDecaySpeed>(120.0, up(4e8), 0.25),
+       std::make_shared<core::LinearDecaySpeed>(120.0, 4e8, up(0.25))});
+  groups.push_back(
+      {power, std::make_shared<core::PowerDecaySpeed>(up(170.0), 3e7, 1.1, 1e9),
+       std::make_shared<core::PowerDecaySpeed>(170.0, up(3e7), 1.1, 1e9),
+       std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, up(1.1), 1e9),
+       std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.1, up(1e9))});
+  groups.push_back({std::make_shared<core::ExpDecaySpeed>(150.0, 5e4, 2e6),
+                    std::make_shared<core::ExpDecaySpeed>(up(150.0), 5e4, 2e6),
+                    std::make_shared<core::ExpDecaySpeed>(150.0, up(5e4), 2e6),
+                    std::make_shared<core::ExpDecaySpeed>(150.0, 5e4, up(2e6))});
+  {
+    const double u[6] = {40.0, 160.0, 2e6, 3e7, 1.4, 6e8};
+    std::vector<std::shared_ptr<const core::SpeedFunction>> g;
+    g.push_back(std::make_shared<core::UnimodalSpeed>(u[0], u[1], u[2], u[3],
+                                                      u[4], u[5]));
+    for (int k = 0; k < 6; ++k) {
+      double v[6];
+      std::copy(u, u + 6, v);
+      v[k] = up(v[k]);
+      g.push_back(std::make_shared<core::UnimodalSpeed>(v[0], v[1], v[2], v[3],
+                                                        v[4], v[5]));
+    }
+    groups.push_back(std::move(g));
+  }
+  {
+    std::vector<std::shared_ptr<const core::SpeedFunction>> g{
+        stepped(200.0, steps, 8e8), stepped(up(200.0), steps, 8e8),
+        stepped(200.0, steps, up(8e8))};
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      for (int field = 0; field < 3; ++field) {
+        std::vector<Step> v = steps;
+        double& w = field == 0 ? v[s].at : field == 1 ? v[s].to : v[s].width;
+        w = up(w);
+        g.push_back(stepped(200.0, std::move(v), 8e8));
+      }
+    }
+    groups.push_back(std::move(g));
+  }
+  {
+    std::vector<std::shared_ptr<const core::SpeedFunction>> g{piecewise(pts)};
+    for (std::size_t i = 0; i + 1 < pts.size(); ++i) {
+      std::vector<Point> v = pts;
+      v[i].size = up(v[i].size);
+      g.push_back(piecewise(v));
+      v = pts;
+      v[i].speed = up(v[i].speed);
+      g.push_back(piecewise(std::move(v)));
+    }
+    // The last breakpoint's speed +0.0 vs -0.0: equal values, distinct
+    // words.
+    std::vector<Point> neg = pts;
+    neg.back().speed = -0.0;
+    g.push_back(piecewise(std::move(neg)));
+    groups.push_back(std::move(g));
+  }
+  groups.push_back({std::make_shared<core::ScaledSpeed>(power, 0.75),
+                    std::make_shared<core::ScaledSpeed>(power, up(0.75))});
+  groups.push_back({std::make_shared<core::GranularSpeed>(power, 6.0),
+                    std::make_shared<core::GranularSpeed>(power, up(6.0))});
+
+  const auto other = std::make_shared<core::ConstantSpeed>(77.0, 1e9);
+  for (const auto& g : groups) {
+    // In a list context too: the flipped word sits between other entries.
+    const auto fp = [&](const core::SpeedFunction* f) {
+      return CompiledSpeedList::fingerprint_of({other.get(), f, other.get()});
+    };
+    const std::uint64_t base = fp(g[0].get());
+    for (std::size_t v = 1; v < g.size(); ++v)
+      EXPECT_NE(fp(g[v].get()), base) << "variant " << v;
+  }
+}
+
+TEST(Compiled, SwappingTwoEntriesChangesTheFingerprint) {
+  const auto families = one_of_each_family();
+  const OddSpeed odd1, odd2;
+  core::SpeedList list{&odd1, &odd2};
+  for (const auto& f : families) list.push_back(f.get());
+  const std::uint64_t base = CompiledSpeedList::fingerprint_of(list);
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    for (std::size_t j = i + 1; j < list.size(); ++j) {
+      core::SpeedList swapped = list;
+      std::swap(swapped[i], swapped[j]);
+      EXPECT_NE(CompiledSpeedList::fingerprint_of(swapped), base)
+          << "swap " << i << "," << j;
+    }
+  }
+}
+
+/// A Generic (unknown) model whose speed is set at construction.
+class LevelSpeed final : public core::SpeedFunction {
+ public:
+  explicit LevelSpeed(double s) : s_(s) {}
+  double speed(double x) const override { return s_ / (1.0 + x / 1e7); }
+  double max_size() const override { return 1e9; }
+
+ private:
+  double s_;
+};
+
+TEST(Compiled, ReusedStorageOfAFreedGenericModelGetsAFreshKey) {
+  // The cache keys Generic entries by SpeedFunction::instance_id(), not by
+  // address: a model constructed in the storage of a destroyed one must
+  // not be served the destroyed model's cached answer.
+  alignas(LevelSpeed) unsigned char storage[sizeof(LevelSpeed)];
+  const core::ConstantSpeed constant(100.0, 1e9);
+  const std::int64_t n = 1000000;
+  core::PartitionServer server({.threads = 1});
+
+  auto* slow = new (storage) LevelSpeed(20.0);
+  const core::SpeedList list{slow, &constant};
+  const std::string key_before = core::PartitionCache::make_key(list, n, {});
+  const core::PartitionResult before = server.serve(list, n);
+  slow->~LevelSpeed();
+
+  auto* fast = new (storage) LevelSpeed(400.0);
+  ASSERT_EQ(static_cast<const void*>(fast), static_cast<const void*>(slow));
+  const std::string key_after = core::PartitionCache::make_key(list, n, {});
+  EXPECT_NE(key_after, key_before);
+  const core::PartitionResult after = server.serve(list, n);
+  EXPECT_EQ(after.distribution.counts,
+            core::partition(list, n).distribution.counts);
+  EXPECT_NE(after.distribution.counts, before.distribution.counts);
+  const core::CacheStats stats = server.cache_stats();
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.misses, 2);
+  fast->~LevelSpeed();
+}
+
+TEST(Compiled, CopiesAndAssignmentsOfGenericModelsGetNewIdentities) {
+  const LevelSpeed a(20.0);
+  const std::uint64_t id = a.instance_id();
+  EXPECT_NE(id, 0u);
+  EXPECT_EQ(a.instance_id(), id) << "stable once assigned";
+  const LevelSpeed copy(a);
+  EXPECT_NE(copy.instance_id(), id);
+  LevelSpeed assigned(30.0);
+  const std::uint64_t old = assigned.instance_id();
+  assigned = a;
+  EXPECT_NE(assigned.instance_id(), old);
+  EXPECT_NE(assigned.instance_id(), id);
+}
+
+/// A mixed p = 4096 fleet for the classification table: the default
+/// synthetic mix, with entries rewrapped by index — one level of Scaled /
+/// Granular / GranularSpeedView (compiled), nested wrappers and wrappers
+/// around an unknown subclass (both must stay Generic), and bare unknown
+/// subclasses.
+struct WrappedFleet {
+  core::SyntheticFleet base;
+  std::vector<std::shared_ptr<const core::SpeedFunction>> owned;
+  core::SpeedList list;
+};
+
+WrappedFleet make_wrapped_fleet(std::size_t p, std::uint64_t seed) {
+  WrappedFleet w;
+  w.base = core::make_synthetic_fleet(p, seed);
+  w.owned.reserve(p);
+  for (std::size_t i = 0; i < p; ++i) {
+    const std::shared_ptr<const core::SpeedFunction>& f = w.base.owned[i];
+    const double k = 1.0 + static_cast<double>(i % 7);
+    std::shared_ptr<const core::SpeedFunction> g;
+    switch (i % 8) {
+      case 1:
+        g = std::make_shared<core::ScaledSpeed>(f, 0.5 + 0.1 * (i % 5));
+        break;
+      case 2:
+        g = std::make_shared<core::GranularSpeed>(f, k);
+        break;
+      case 3:
+        g = std::make_shared<core::GranularSpeedView>(*f, k);
+        break;
+      case 4:
+        g = std::make_shared<core::ScaledSpeed>(
+            std::make_shared<core::GranularSpeed>(f, k), 0.9);
+        break;
+      case 5: {
+        auto scaled = std::make_shared<core::ScaledSpeed>(f, 0.8);
+        w.owned.push_back(scaled);  // the view borrows it
+        g = std::make_shared<core::GranularSpeedView>(*scaled, k);
+        break;
+      }
+      case 6:
+        g = std::make_shared<OddSpeed>();
+        break;
+      case 7:
+        g = std::make_shared<core::ScaledSpeed>(std::make_shared<OddSpeed>(),
+                                                0.7);
+        break;
+      default:
+        g = f;
+        break;
+    }
+    w.owned.push_back(g);
+    w.list.push_back(g.get());
+  }
+  return w;
+}
+
+TEST(Compiled, ClassificationOfMixedWrappedFleetMatchesFrozenTable) {
+  const WrappedFleet w = make_wrapped_fleet(4096, 11);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(w.list);
+  ASSERT_EQ(compiled.size(), 4096u);
+  // counts[family][wrap] and an order-sensitive digest of the per-entry
+  // (family, wrap) sequence, frozen from the dynamic_cast classifier that
+  // exact-type dispatch replaced.
+  std::array<std::array<int, 3>, 8> counts{};
+  std::uint64_t digest = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < compiled.size(); ++i) {
+    const auto fam = static_cast<std::size_t>(compiled.family(i));
+    const auto wrap = static_cast<std::size_t>(compiled.wrap(i));
+    ++counts[fam][wrap];
+    digest = (digest ^ (fam * 3 + wrap)) * 1099511628211ULL;
+  }
+  //                       None Scaled Granular
+  const std::array<std::array<int, 3>, 8> frozen{{{2048, 0, 0},   // Generic
+                                                  {56, 58, 110},  // Constant
+                                                  {110, 124, 245},  // Linear
+                                                  {151, 135, 312},  // Power
+                                                  {139, 141, 256},  // Exp
+                                                  {0, 0, 0},      // Unimodal
+                                                  {15, 18, 34},   // Stepped
+                                                  {41, 36, 67}}};  // Piecewise
+  EXPECT_EQ(counts, frozen);
+  EXPECT_EQ(digest, 4404389574837678709ULL);
+  EXPECT_EQ(compiled.generic_entries(), 2048u);
+  // The wrappers classify with their inner family, so their fingerprints
+  // must agree with compile() as well.
+  EXPECT_EQ(CompiledSpeedList::fingerprint_of(w.list), compiled.fingerprint());
 }
 
 TEST(Compiled, PrecompiledGuardReusesTheInstalledModel) {

@@ -1,7 +1,8 @@
 // SLO-aware serving: the degraded-answer error bound (property-tested
 // against every registry algorithm), the queue-delay estimator, admission
-// control, priority shedding, run_batch's 1:1 contract, drain(), and the
-// offered == admitted + degraded + shed accounting invariant.
+// control (and its recovery from one slow sample), priority shedding,
+// run_batch's 1:1 contract, drain(), the per-request model-walk budget,
+// and the offered == admitted + degraded + shed accounting invariant.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -127,6 +128,19 @@ TEST(QueueDelayEstimator, FallsBackAcrossClassesAndConverges) {
   est.record(core::Priority::Low, -1.0);
   est.record(core::Priority::Low, std::nan(""));
   EXPECT_EQ(est.samples(core::Priority::Low), 0);
+}
+
+TEST(QueueDelayEstimator, DecayShrinksTheEstimateTheClassReads) {
+  core::QueueDelayEstimator est(0.2);
+  est.record(core::Priority::High, 0.100);
+  // Normal has no samples of its own: decay moves the all-class fallback
+  // it reads, and leaves High's own cell alone.
+  est.decay(core::Priority::Normal);
+  EXPECT_DOUBLE_EQ(est.service_estimate(core::Priority::Normal), 0.080);
+  EXPECT_DOUBLE_EQ(est.service_estimate(core::Priority::High), 0.100);
+  est.decay(core::Priority::High);
+  EXPECT_DOUBLE_EQ(est.service_estimate(core::Priority::High), 0.080);
+  EXPECT_EQ(est.samples(core::Priority::High), 1) << "decay is no sample";
 }
 
 // ---------------------------------------------------------------------------
@@ -342,6 +356,111 @@ TEST(HintStore, FingerprintChurnEvictsLruAndCounts) {
   EXPECT_GT(s.hint_evictions, 0);
   EXPECT_GE(obs::metrics().counter(obs::names::kServerHintsEvicted).value(),
             s.hint_evictions);
+}
+
+/// A Generic model whose next intersect() stalls once: a host stall in
+/// the middle of a solve.
+class StallOnceSpeed final : public core::SpeedFunction {
+ public:
+  explicit StallOnceSpeed(std::chrono::milliseconds stall) : stall_(stall) {}
+  double speed(double x) const override { return 90.0 / (1.0 + x / 1e7); }
+  double max_size() const override { return 1e9; }
+  double intersect(double slope) const override {
+    if (armed_.exchange(false)) std::this_thread::sleep_for(stall_);
+    return SpeedFunction::intersect(slope);
+  }
+  void arm() { armed_ = true; }
+
+ private:
+  std::chrono::milliseconds stall_;
+  mutable std::atomic<bool> armed_{false};
+};
+
+TEST(SubmitSlo, OneSlowSampleDoesNotLockAdmissionOut) {
+  // One 175 ms request without a deadline lifts the service estimate far
+  // above a 10 ms deadline. Rejected requests never refresh the estimate,
+  // so without the decay on rejection every later miss with that deadline
+  // was degraded for good.
+  StallOnceSpeed stall(175ms);
+  const core::ConstantSpeed a(100.0, 1e9), b(150.0, 1e9), c(220.0, 1e9);
+  const core::SpeedList list{&stall, &a, &b, &c};
+  core::PartitionServer server({.threads = 1});
+  stall.arm();
+  ASSERT_EQ(server.submit({list, 100000, {}, {}}).get().status,
+            core::ServeStatus::Ok);
+  ASSERT_GT(server.predicted_delay(core::Priority::Normal), 0.150);
+
+  constexpr int kMisses = 2000;
+  int first_admitted = -1;
+  int admitted = 0;
+  for (int i = 0; i < kMisses; ++i) {
+    core::BatchRequest req{list, 100001 + i, {}, {}};
+    req.slo.deadline_s = 0.010;
+    const core::ServeResult r = server.submit(std::move(req)).get();
+    if (r.status != core::ServeStatus::Ok) continue;
+    ++admitted;
+    if (first_admitted < 0) first_admitted = i;
+  }
+  // 175 ms * 0.8^13 < 10 ms: the 14th miss is admitted (a few spare
+  // rejections absorb a stall that ran long).
+  ASSERT_GE(first_admitted, 0) << "admission locked out";
+  EXPECT_LE(first_admitted, 16);
+  EXPECT_GT(admitted, kMisses / 2);
+  const core::SloStats s = expect_invariant(server);
+  EXPECT_EQ(s.offered, kMisses + 1);
+}
+
+TEST(ServeWalks, EachRequestWalksItsModelsAtMostTwice) {
+  // compiled.classify_walks counts compile() + fingerprint_of() calls,
+  // each one pass over a request's models.
+  const obs::Counter& walks =
+      obs::metrics().counter(obs::names::kCompiledClassifyWalks);
+  const auto walks_of = [&walks](const auto& request) {
+    const std::int64_t before = walks.value();
+    request();
+    return walks.value() - before;
+  };
+  const test::Ensemble e = test::mixed_ensemble();
+  const core::SpeedList list = e.list();
+  core::PartitionServer server({.threads = 1});
+
+  EXPECT_EQ(walks_of([&] { (void)core::partition(list, 123457); }), 1)
+      << "cold solve";
+  EXPECT_LE(walks_of([&] { (void)server.serve(list, 200000); }), 2)
+      << "serve() miss";
+  EXPECT_EQ(walks_of([&] { (void)server.serve(list, 200000); }), 1)
+      << "serve() hit";
+  EXPECT_EQ(walks_of([&] {
+              (void)server.submit({list, 200000, {}, {}}).get();
+            }),
+            1)
+      << "submit() hit";
+  EXPECT_LE(walks_of([&] {
+              (void)server.submit({list, 201000, {}, {}}).get();
+            }),
+            2)
+      << "submit() near miss";
+  EXPECT_LE(walks_of([&] {
+              (void)server.serve_slo(list, 202000, {}, {60.0});
+            }),
+            2)
+      << "serve_slo() near miss";
+  core::Slo tight;
+  tight.deadline_s = 1e-9;
+  core::ServeResult degraded;
+  EXPECT_EQ(walks_of([&] {
+              degraded = server.submit({list, 203000, {}, tight}).get();
+            }),
+            1)
+      << "submit() rejected at admission, degraded";
+  EXPECT_EQ(degraded.status, core::ServeStatus::Degraded);
+  EXPECT_EQ(walks_of([&] {
+              degraded = server.serve_slo(list, 204000, {}, tight);
+            }),
+            1)
+      << "serve_slo() rejected at admission, degraded";
+  EXPECT_EQ(degraded.status, core::ServeStatus::Degraded);
+  expect_invariant(server);
 }
 
 // ---------------------------------------------------------------------------
