@@ -1,24 +1,20 @@
 // Throughput benchmark for the compiled speed-model layer (core/compiled.*)
 // and the concurrent batch-partitioning engine (core/server.hpp).
 //
-// Three measurements, written to BENCH_partition_throughput.json:
+// Four measurements, written to BENCH_partition_throughput.json:
 //   1. kernel   — closed-form intersections (compiled layer) against the
 //                 generic bisection of SpeedFunction::intersect on the same
 //                 slope workload; expected well above 2x.
-//   2. partition — full partition() runs with the compiled path toggled on
-//                 vs. off (set_compiled_partitioning); the virtual path
-//                 already uses the closed-form kernels, so this isolates the
-//                 devirtualization + SoA win and must never regress.
-//   3. server   — PartitionServer::run_batch on an all-distinct (cache-miss)
+//   2. server   — PartitionServer::run_batch on an all-distinct (cache-miss)
 //                 request batch at increasing thread counts.
-//   4. serve_hit — the cache-hit path: keying via the allocation-free
+//   3. serve_hit — the cache-hit path: keying via the allocation-free
 //                 CompiledSpeedList::fingerprint_of against the old
 //                 compile-to-fingerprint approach, plus the end-to-end
 //                 serve() latency on a warm cache, plus fingerprint_of's
 //                 cost per entry (ns) on synthetic fleets of the default
 //                 family mix and of piecewise-linear models only (what the
 //                 model builders emit) at p = 256, 2048 and 4096.
-//   5. near_miss — serve() under near-miss traffic (same models, drifting
+//   4. near_miss — serve() under near-miss traffic (same models, drifting
 //                 n: every request a cache miss) with the server's
 //                 per-fingerprint warm-start on vs. off. The slope hint
 //                 narrows each search without changing the distribution,
@@ -29,10 +25,9 @@
 // under "metrics", so one artifact carries both the timings and the
 // engine's own accounting of the run.
 //
-// `--gate` turns measurements 1, 2, 4, and 5 into pass/fail checks for CI:
-// exit 1 when the kernel speedup drops below 2x, compiled partitioning is
-// slower than the virtual baseline, fingerprint keying is not faster than
-// compile keying (each with a small tolerance for timer noise), the
+// `--gate` turns measurements 1, 3 and 4 into pass/fail checks for CI:
+// exit 1 when the kernel speedup drops below 2x, fingerprint keying is not
+// faster than compile keying (with a small tolerance for timer noise), the
 // near-miss warm-start saves fewer than 3x the search-phase speed
 // evaluations, or hinted serve() is slower than cold serve().
 #include <benchmark/benchmark.h>
@@ -146,21 +141,12 @@ void BM_KernelCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelCompiled)->Unit(benchmark::kMillisecond);
 
-void BM_PartitionVirtual(benchmark::State& state) {
-  const bench::OwnedEnsemble e = bench::exp_family(64);
-  const core::SpeedList list = e.list();
-  core::set_compiled_partitioning(false);
-  for (auto _ : state) benchmark::DoNotOptimize(run_partitions(list));
-  core::set_compiled_partitioning(true);
-}
-BENCHMARK(BM_PartitionVirtual)->Unit(benchmark::kMillisecond);
-
-void BM_PartitionCompiled(benchmark::State& state) {
+void BM_Partition(benchmark::State& state) {
   const bench::OwnedEnsemble e = bench::exp_family(64);
   const core::SpeedList list = e.list();
   for (auto _ : state) benchmark::DoNotOptimize(run_partitions(list));
 }
-BENCHMARK(BM_PartitionCompiled)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Partition)->Unit(benchmark::kMillisecond);
 
 /// Serves `requests` all-distinct partition requests on `threads` threads;
 /// returns requests per second.
@@ -251,16 +237,7 @@ int main(int argc, char** argv) {
       best_of(5, 3, [&] { return run_kernel_compiled(compiled, w); });
   const double kernel_speedup = t_generic / t_closed;
 
-  // --- 2. partition: compiled path vs virtual path ----------------------
-  const bench::OwnedEnsemble e = bench::exp_family(64);
-  const core::SpeedList list = e.list();
-  core::set_compiled_partitioning(false);
-  const double t_virtual = best_of(5, 1, [&] { return run_partitions(list); });
-  core::set_compiled_partitioning(true);
-  const double t_compiled = best_of(5, 1, [&] { return run_partitions(list); });
-  const double partition_speedup = t_virtual / t_compiled;
-
-  // --- 3. server: cache-miss batch scaling over threads -----------------
+  // --- 2. server: cache-miss batch scaling over threads -----------------
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<unsigned> thread_counts{1};
   if (hw >= 2) thread_counts.push_back(2);
@@ -272,7 +249,7 @@ int main(int argc, char** argv) {
   for (const unsigned t : thread_counts)
     rates.push_back(server_miss_rate(t, requests, se));
 
-  // --- 4. serve_hit: warm-cache latency and cache keying ----------------
+  // --- 3. serve_hit: warm-cache latency and cache keying ----------------
   // A hit needs only the key, so serving from a warm cache must not pay
   // for a full model compilation; compare the allocation-free fingerprint
   // against compiling just to read the fingerprint (the old keying).
@@ -309,7 +286,7 @@ int main(int argc, char** argv) {
     return hit_server.serve(hit_list, hit_n).distribution.counts[0];
   });
 
-  // --- 5. near_miss: drifting-n serve() with warm-start on vs off -------
+  // --- 4. near_miss: drifting-n serve() with warm-start on vs off -------
   // Fresh single-thread servers so the returned stats are the engine's own
   // (every request is a miss). The counter comparison is deterministic;
   // the wall clock backs it with an end-to-end speedup.
@@ -334,8 +311,6 @@ int main(int argc, char** argv) {
                 {"metric", "baseline", "optimized", "speedup"});
   t.add_row({"intersect kernel (ms/pass)", util::fmt(t_generic * 1e3, 3),
              util::fmt(t_closed * 1e3, 3), util::fmt(kernel_speedup, 2)});
-  t.add_row({"partition sweep (ms)", util::fmt(t_virtual * 1e3, 3),
-             util::fmt(t_compiled * 1e3, 3), util::fmt(partition_speedup, 2)});
   for (std::size_t i = 0; i < thread_counts.size(); ++i)
     t.add_row({"server miss batch, " + util::fmt(thread_counts[i]) +
                    " thread(s) (req/s)",
@@ -360,9 +335,6 @@ int main(int argc, char** argv) {
        << "  \"kernel\": {\"generic_s\": " << t_generic
        << ", \"closed_form_s\": " << t_closed
        << ", \"speedup\": " << kernel_speedup << "},\n"
-       << "  \"partition\": {\"virtual_s\": " << t_virtual
-       << ", \"compiled_s\": " << t_compiled
-       << ", \"speedup\": " << partition_speedup << "},\n"
        << "  \"server\": [";
   for (std::size_t i = 0; i < thread_counts.size(); ++i)
     json << (i ? ", " : "") << "{\"threads\": " << thread_counts[i]
@@ -398,15 +370,6 @@ int main(int argc, char** argv) {
                 << util::fmt(kernel_speedup, 2) << "x < 2x\n";
       ok = false;
     }
-    // 15% tolerance absorbs timer noise; a real regression (losing the
-    // devirtualized path) shows up far above it.
-    if (t_compiled > t_virtual * 1.15) {
-      std::cerr << "GATE FAIL: compiled partitioning "
-                << util::fmt(t_compiled * 1e3, 3)
-                << " ms slower than virtual baseline "
-                << util::fmt(t_virtual * 1e3, 3) << " ms\n";
-      ok = false;
-    }
     // The fingerprint key skips entry/pool materialization entirely, so it
     // must beat compile-to-fingerprint comfortably; 1.2x leaves room for
     // timer noise on tiny ensembles.
@@ -440,7 +403,6 @@ int main(int argc, char** argv) {
     }
     if (!ok) return 1;
     std::cout << "gate passed: kernel " << util::fmt(kernel_speedup, 2)
-              << "x, partition " << util::fmt(partition_speedup, 2)
               << "x, keying " << util::fmt(keying_speedup, 2)
               << "x, near-miss evals " << util::fmt(nm_eval_ratio, 2)
               << "x (serve " << util::fmt(nm_speedup, 2) << "x)\n";

@@ -1,11 +1,9 @@
 #include "core/bisection.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "core/detail/search_state.hpp"
-#include "core/finetune.hpp"
 
 namespace fpm::core {
 
@@ -19,34 +17,25 @@ bool bracket_converged(std::span<const double> small,
   return true;
 }
 
-PartitionResult partition_basic(const SpeedList& speeds, std::int64_t n,
-                                const BasicBisectionOptions& opts) {
-  if (speeds.empty())
+namespace detail {
+
+PartitionResult solve_basic(const CompiledSpeedList& models, std::int64_t n,
+                            const BasicBisectionOptions& opts) {
+  if (models.size() == 0)
     throw std::invalid_argument("partition_basic: no speeds");
-  PartitionResult result;
-  result.stats.algorithm = kAlgorithmBasic;
-  if (n <= 0) {
-    result.distribution.counts.assign(speeds.size(), 0);
-    return result;
-  }
-  detail::SearchState state(speeds, n, &opts.observer,
-                            opts.hint ? &*opts.hint : nullptr);
+  if (n <= 0) return zero_result(kAlgorithmBasic, models.size());
+  SearchState state(models, n, &opts.observer,
+                    opts.hint ? &*opts.hint : nullptr);
   while (!state.converged() && state.iterations() < opts.max_iterations)
     state.step_basic(opts.bisect_angles);
-  result.stats.iterations = state.iterations();
-  result.stats.intersections = state.intersections();
-  result.stats.final_slope = state.hi_slope();
-  result.stats.search_speed_evals = state.speed_evals();
-  result.stats.search_intersect_solves = state.intersect_solves();
-  result.distribution = state.fine_tune_epilogue(n);
-  result.stats.speed_evals = state.speed_evals();
-  result.stats.intersect_solves = state.intersect_solves();
-  result.stats.bracket_saturations = state.bracket_saturations();
-  result.stats.warmstart = state.warmstart();
-  if (result.stats.warmstart == WarmStart::Hit)
-    result.stats.iterations_saved = std::max(
-        0, opts.hint->baseline_iterations - result.stats.iterations);
-  return result;
+  return state.finish(kAlgorithmBasic, n, opts.hint);
+}
+
+}  // namespace detail
+
+PartitionResult partition_basic(const SpeedList& speeds, std::int64_t n,
+                                const BasicBisectionOptions& opts) {
+  return detail::solve_basic(CompiledSpeedList::compile(speeds), n, opts);
 }
 
 }  // namespace fpm::core

@@ -7,13 +7,15 @@
 #include <stdexcept>
 
 #include "core/combined.hpp"
+#include "core/detail/search_state.hpp"
 
 namespace fpm::core {
 
-PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
-                                  std::span<const std::int64_t> bounds,
-                                  const BoundedOptions& opts) {
-  if (speeds.size() != bounds.size())
+PartitionResult detail::solve_bounded(const CompiledSpeedList& models,
+                                      std::int64_t n,
+                                      std::span<const std::int64_t> bounds,
+                                      const BoundedOptions& opts) {
+  if (models.size() != bounds.size())
     throw std::invalid_argument("partition_bounded: size mismatch");
   std::int64_t capacity = 0;
   for (const std::int64_t b : bounds) {
@@ -25,19 +27,27 @@ PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
 
   PartitionResult result;
   result.stats.algorithm = kAlgorithmBounded;
-  result.distribution.counts.assign(speeds.size(), 0);
+  result.distribution.counts.assign(models.size(), 0);
 
-  std::vector<std::size_t> active(speeds.size());
+  std::vector<std::size_t> active(models.size());
   std::iota(active.begin(), active.end(), std::size_t{0});
   std::int64_t remaining = n;
 
   CombinedOptions inner = opts.inner;
   bool first_round = true;
   while (remaining > 0 && !active.empty()) {
-    SpeedList sub;
-    sub.reserve(active.size());
-    for (const std::size_t i : active) sub.push_back(speeds[i]);
-    PartitionResult sub_result = partition_combined(sub, remaining, inner);
+    // Until something is clamped every processor is active and the
+    // caller's model is the one to solve; residual rounds compile their
+    // sub-list.
+    PartitionResult sub_result;
+    if (active.size() == models.size()) {
+      sub_result = detail::solve_combined(models, remaining, inner);
+    } else {
+      SpeedList sub;
+      sub.reserve(active.size());
+      for (const std::size_t i : active) sub.push_back(models.base(i));
+      sub_result = partition_combined(sub, remaining, inner);
+    }
     if (first_round) {
       // The hint describes the full unclamped problem; the residual rounds
       // solve a different one (fewer processors, fewer elements), so only
@@ -86,7 +96,7 @@ PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
   if (remaining > 0) {
     // All processors clamped but capacity >= n means round-off left some
     // elements; spread them within the remaining slack deterministically.
-    for (std::size_t i = 0; i < speeds.size() && remaining > 0; ++i) {
+    for (std::size_t i = 0; i < models.size() && remaining > 0; ++i) {
       const std::int64_t slack = bounds[i] - result.distribution.counts[i];
       const std::int64_t take = std::min(slack, remaining);
       result.distribution.counts[i] += take;
@@ -95,6 +105,13 @@ PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
   }
   assert(result.distribution.total() == n);
   return result;
+}
+
+PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
+                                  std::span<const std::int64_t> bounds,
+                                  const BoundedOptions& opts) {
+  return detail::solve_bounded(CompiledSpeedList::compile(speeds), n, bounds,
+                               opts);
 }
 
 Distribution exact_optimum_bounded(const SpeedList& speeds, std::int64_t n,

@@ -5,22 +5,18 @@
 #include <stdexcept>
 
 #include "core/detail/search_state.hpp"
-#include "core/finetune.hpp"
 
 namespace fpm::core {
 
-PartitionResult partition_combined(const SpeedList& speeds, std::int64_t n,
-                                   const CombinedOptions& opts) {
-  if (speeds.empty())
+namespace detail {
+
+PartitionResult solve_combined(const CompiledSpeedList& models, std::int64_t n,
+                               const CombinedOptions& opts) {
+  if (models.size() == 0)
     throw std::invalid_argument("partition_combined: no speeds");
-  PartitionResult result;
-  result.stats.algorithm = kAlgorithmCombined;
-  if (n <= 0) {
-    result.distribution.counts.assign(speeds.size(), 0);
-    return result;
-  }
-  detail::SearchState state(speeds, n, &opts.observer,
-                            opts.hint ? &*opts.hint : nullptr);
+  if (n <= 0) return zero_result(kAlgorithmCombined, models.size());
+  SearchState state(models, n, &opts.observer,
+                    opts.hint ? &*opts.hint : nullptr);
 
   // Phase 1: basic bisection while it makes geometric progress.
   std::int64_t window_start_count = state.total_interior();
@@ -30,7 +26,9 @@ PartitionResult partition_combined(const SpeedList& speeds, std::int64_t n,
     state.step_basic(opts.bisect_angles);
     if (++window_used >= opts.stall_window) {
       const std::int64_t now = state.total_interior();
-      if (now * 2 > window_start_count) {
+      // now > start / 2 is now * 2 > start without the overflow at a
+      // saturated count.
+      if (now > window_start_count / 2) {
         switched = true;  // stalled: candidate count failed to halve
         break;
       }
@@ -41,7 +39,7 @@ PartitionResult partition_combined(const SpeedList& speeds, std::int64_t n,
 
   // Phase 2: shape-insensitive modified steps with the guaranteed bound.
   if (switched) {
-    const double pd = static_cast<double>(speeds.size());
+    const double pd = static_cast<double>(models.size());
     const int bound =
         state.iterations() +
         static_cast<int>(pd * (std::log2(static_cast<double>(n) * pd) + 4.0)) +
@@ -51,21 +49,16 @@ PartitionResult partition_combined(const SpeedList& speeds, std::int64_t n,
       state.step_modified();
   }
 
-  result.stats.iterations = state.iterations();
-  result.stats.intersections = state.intersections();
-  result.stats.final_slope = state.hi_slope();
+  PartitionResult result = state.finish(kAlgorithmCombined, n, opts.hint);
   result.stats.switched_to_modified = switched;
-  result.stats.search_speed_evals = state.speed_evals();
-  result.stats.search_intersect_solves = state.intersect_solves();
-  result.distribution = state.fine_tune_epilogue(n);
-  result.stats.speed_evals = state.speed_evals();
-  result.stats.intersect_solves = state.intersect_solves();
-  result.stats.bracket_saturations = state.bracket_saturations();
-  result.stats.warmstart = state.warmstart();
-  if (result.stats.warmstart == WarmStart::Hit)
-    result.stats.iterations_saved = std::max(
-        0, opts.hint->baseline_iterations - result.stats.iterations);
   return result;
+}
+
+}  // namespace detail
+
+PartitionResult partition_combined(const SpeedList& speeds, std::int64_t n,
+                                   const CombinedOptions& opts) {
+  return detail::solve_combined(CompiledSpeedList::compile(speeds), n, opts);
 }
 
 }  // namespace fpm::core

@@ -29,8 +29,6 @@ constexpr std::uint64_t kFingerprintSeed = 1469598103934665603ULL;
 using detail::fingerprint_mix;
 using detail::fingerprint_mix_bits;
 
-std::atomic<bool> g_compiled_enabled{true};
-std::atomic<bool> g_batched_enabled{true};
 std::atomic<bool> g_simd_enabled{true};
 std::atomic<std::size_t> g_parallel_threshold{1024};
 
@@ -58,10 +56,6 @@ inline const detail::simd::SimdKernels* active_kernels() noexcept {
   if (!g_simd_enabled.load(std::memory_order_relaxed)) return nullptr;
   return detail::simd::resolved_simd_kernels();
 }
-
-/// Thread-local precompiled hint installed by PrecompiledGuard.
-thread_local const SpeedList* g_precompiled_speeds = nullptr;
-thread_local const CompiledSpeedList* g_precompiled_list = nullptr;
 
 /// Every class the compiled layer reads structurally, identified by its
 /// exact dynamic type.
@@ -167,41 +161,6 @@ void count_classify_walk() noexcept {
 }
 
 }  // namespace
-
-PrecompiledGuard::PrecompiledGuard(const SpeedList& speeds,
-                                   const CompiledSpeedList& compiled) noexcept
-    : prev_speeds_(g_precompiled_speeds), prev_compiled_(g_precompiled_list) {
-  g_precompiled_speeds = &speeds;
-  g_precompiled_list = &compiled;
-}
-
-PrecompiledGuard::~PrecompiledGuard() {
-  g_precompiled_speeds = prev_speeds_;
-  g_precompiled_list = prev_compiled_;
-}
-
-const CompiledSpeedList* precompiled_match(const SpeedList& speeds) noexcept {
-  if (g_precompiled_speeds == nullptr) return nullptr;
-  if (g_precompiled_speeds != &speeds && *g_precompiled_speeds != speeds)
-    return nullptr;
-  return g_precompiled_list;
-}
-
-bool compiled_partitioning_enabled() noexcept {
-  return g_compiled_enabled.load(std::memory_order_relaxed);
-}
-
-void set_compiled_partitioning(bool enabled) noexcept {
-  g_compiled_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool batched_kernels_enabled() noexcept {
-  return g_batched_enabled.load(std::memory_order_relaxed);
-}
-
-void set_batched_kernels(bool enabled) noexcept {
-  g_batched_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 bool simd_kernels_enabled() noexcept {
   return g_simd_enabled.load(std::memory_order_relaxed);
@@ -1162,12 +1121,7 @@ std::vector<double> speeds_at(const CompiledSpeedList& speeds,
                               std::span<const double> xs,
                               EvalCounters* counters) {
   std::vector<double> out(speeds.size());
-  if (batched_kernels_enabled()) {
-    speeds.speed_all(xs, out);
-  } else {
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      out[i] = speeds.speed(i, xs[i]);
-  }
+  speeds.speed_all(xs, out);
   if (counters)
     counters->speed_evals += static_cast<std::int64_t>(speeds.size());
   return out;
@@ -1176,12 +1130,7 @@ std::vector<double> speeds_at(const CompiledSpeedList& speeds,
 std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
                              EvalCounters* counters) {
   std::vector<double> xs(speeds.size());
-  if (batched_kernels_enabled()) {
-    speeds.intersect_all(slope, xs);
-  } else {
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      xs[i] = speeds.intersect(i, slope);
-  }
+  speeds.intersect_all(slope, xs);
   if (counters)
     counters->intersect_solves += static_cast<std::int64_t>(speeds.size());
   return xs;
@@ -1189,56 +1138,17 @@ std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
 
 double total_size_at(const CompiledSpeedList& speeds, double slope,
                      EvalCounters* counters) {
+  // The sweep fills a scratch row first so the final reduction still runs
+  // in entry order: lane-local partial sums would reorder the floating-
+  // point additions and break bit-identity with the SpeedList overload.
+  static thread_local std::vector<double> scratch;
+  scratch.resize(speeds.size());
+  speeds.intersect_all(slope, scratch);
   double sum = 0.0;
-  if (batched_kernels_enabled()) {
-    // The batch fills a scratch row first so the final reduction still runs
-    // in entry order: lane-local partial sums would reorder the floating-
-    // point additions and break bit-identity with the per-entry path.
-    static thread_local std::vector<double> scratch;
-    scratch.resize(speeds.size());
-    speeds.intersect_all(slope, scratch);
-    for (const double x : scratch) sum += x;
-  } else {
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      sum += speeds.intersect(i, slope);
-  }
+  for (const double x : scratch) sum += x;
   if (counters)
     counters->intersect_solves += static_cast<std::int64_t>(speeds.size());
   return sum;
-}
-
-SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
-                            EvalCounters* counters) {
-  // Line-for-line the SpeedList overload in partition.cpp (including its
-  // counting profile: one speed probe per processor, one solve batch per
-  // expansion test) so that the two paths report identical stats.
-  if (speeds.size() == 0)
-    throw std::invalid_argument("detect_bracket: no speeds");
-  if (n < 1) throw std::invalid_argument("detect_bracket: n must be >= 1");
-  const double p = static_cast<double>(speeds.size());
-  const double probe = static_cast<double>(n) / p;
-  double s_min = std::numeric_limits<double>::infinity();
-  double s_max = 0.0;
-  for (std::size_t i = 0; i < speeds.size(); ++i) {
-    const double s = speeds.speed(i, std::min(probe, speeds.max_size(i)));
-    s_min = std::min(s_min, s);
-    s_max = std::max(s_max, s);
-  }
-  if (counters)
-    counters->speed_evals += static_cast<std::int64_t>(speeds.size());
-  SlopeBracket br;
-  br.hi_slope = s_max / probe;
-  br.lo_slope = s_min / probe;
-  if (br.lo_slope <= 0.0) br.lo_slope = br.hi_slope * 1e-12;
-  const double nd = static_cast<double>(n);
-  for (int i = 0; i < 256 && total_size_at(speeds, br.hi_slope, counters) > nd;
-       ++i)
-    br.hi_slope *= 2.0;
-  for (int i = 0; i < 256 && total_size_at(speeds, br.lo_slope, counters) < nd;
-       ++i)
-    br.lo_slope *= 0.5;
-  if (br.lo_slope > br.hi_slope) std::swap(br.lo_slope, br.hi_slope);
-  return br;
 }
 
 }  // namespace fpm::core

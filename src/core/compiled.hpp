@@ -21,10 +21,12 @@
 // cold core::partition() walks its models once, a server cache hit once,
 // and a miss twice (key, then compile).
 //
-// detail::SearchState compiles its input once per search (toggled by
-// set_compiled_partitioning()), which makes all five registry algorithms
-// benefit transparently; the batch/server layer (core/server.hpp) reuses
-// the fingerprint() content hash as its cache key.
+// This is the engine's one model representation: detail::SearchState runs
+// every registry algorithm on a CompiledSpeedList it is handed. The
+// SpeedList overload of core::partition() compiles once and forwards to the
+// compiled overload; the batch/server layer (core/server.hpp) compiles each
+// missed request once, passes that model to the engine, and reuses the
+// fingerprint() content hash as its cache key.
 #pragma once
 
 #include <bit>
@@ -42,8 +44,7 @@ namespace fpm::core {
 /// Counters incremented at the SpeedFunction boundary: one per speed(x)
 /// evaluation and one per c·x = s(x) solve, exactly the accounting of
 /// PartitionStats::speed_evals / intersect_solves. Evaluations *inside* a
-/// solve (e.g. the probes of a generic bisection) are not counted, matching
-/// the virtual CountingSpeedView semantics.
+/// solve (e.g. the probes of a generic bisection) are not counted.
 struct EvalCounters {
   std::int64_t speed_evals = 0;
   std::int64_t intersect_solves = 0;
@@ -119,8 +120,8 @@ class CompiledSpeedList {
   /// gather their sizes and run the vector speed kernels (NaN punts fixed
   /// up scalar, same contract as intersect_all); every other entry takes
   /// the per-entry dispatch, which is bit-identical to speed(i, xs[i]).
-  /// With SIMD off (or set_batched_kernels(false)) the whole sweep is the
-  /// per-entry loop, bit-identical to calling speed() yourself.
+  /// With SIMD off the whole sweep is the per-entry loop, bit-identical to
+  /// calling speed() yourself.
   void speed_all(std::span<const double> xs, std::span<double> out) const;
 
   /// How many entries run through a batch lane (the rest take the
@@ -267,36 +268,13 @@ inline std::uint64_t fingerprint_mix_bits(std::uint64_t h, double v) noexcept {
 
 }  // namespace detail
 
-/// Non-owning SpeedFunction adaptor over one compiled entry, so compiled
-/// models can flow through any API expecting a SpeedList (fine-tuning, the
-/// makespan helpers, tests). When `counters` is non-null every call is
-/// counted at the same boundary as detail::CountingSpeedView.
-class CompiledEntryView final : public SpeedFunction {
- public:
-  CompiledEntryView(const CompiledSpeedList& list, std::size_t index,
-                    EvalCounters* counters = nullptr)
-      : list_(&list), index_(index), counters_(counters) {}
-
-  double speed(double x) const override {
-    if (counters_) ++counters_->speed_evals;
-    return list_->speed(index_, x);
-  }
-  double max_size() const override { return list_->max_size(index_); }
-  double intersect(double slope) const override {
-    if (counters_) ++counters_->intersect_solves;
-    return list_->intersect(index_, slope);
-  }
-
- private:
-  const CompiledSpeedList* list_;
-  std::size_t index_;
-  EvalCounters* counters_;
-};
-
-/// Compiled counterparts of the SpeedList helpers in core/partition.hpp —
-/// same loops, same numbers, optional counting (pass nullptr to skip it).
-/// `counters` is deliberately not defaulted: two-argument calls must keep
-/// resolving to the SpeedList overloads (e.g. detect_bracket({}, n)).
+/// Compiled counterparts of the SpeedList helpers in core/partition.hpp,
+/// with optional counting (pass nullptr to skip it). A line is evaluated
+/// through one intersect_all sweep, so with set_simd_kernels(false) the
+/// numbers are bit-identical to the SpeedList overloads; detect_bracket
+/// shares its Figure-18 body with the SpeedList overload. `counters` is
+/// deliberately not defaulted: two-argument calls must keep resolving to
+/// the SpeedList overloads (e.g. detect_bracket({}, n)).
 std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
                              EvalCounters* counters);
 double total_size_at(const CompiledSpeedList& speeds, double slope,
@@ -310,20 +288,6 @@ SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
 std::vector<double> speeds_at(const CompiledSpeedList& speeds,
                               std::span<const double> xs,
                               EvalCounters* counters);
-
-/// Process-wide switch (default on) selecting whether detail::SearchState
-/// runs on compiled models or on the original virtual objects. The two
-/// paths are bit-identical; the switch exists for benchmarks (measuring the
-/// virtual-dispatch baseline) and for the equivalence tests.
-bool compiled_partitioning_enabled() noexcept;
-void set_compiled_partitioning(bool enabled) noexcept;
-
-/// Process-wide switch (default on) selecting whether the compiled
-/// sizes_at/total_size_at helpers evaluate a candidate line through
-/// CompiledSpeedList::intersect_all (the SoA batch plan) or entry by entry.
-/// Bit-identical either way; off measures the per-entry dispatch baseline.
-bool batched_kernels_enabled() noexcept;
-void set_batched_kernels(bool enabled) noexcept;
 
 /// Which vector implementation intersect_all's batch lanes are running on.
 enum class SimdBackend : std::uint8_t {
@@ -351,7 +315,7 @@ void force_simd_backend(std::string_view name);
 
 /// Process-wide switch (default on) selecting whether the batch lanes of
 /// intersect_all run the vector kernels of detail/simd.hpp or the scalar
-/// batch kernels. Unlike the two toggles above this one is NOT bit-neutral:
+/// batch kernels. This switch is NOT bit-neutral:
 /// the vector power/exp kernels replace libm with polynomial exp/log and
 /// may differ from the scalar path in the last ULPs (the constant/linear
 /// lanes and the piecewise scan stay bit-identical). set_simd_kernels(false)
@@ -376,29 +340,5 @@ SimdBackend active_simd_backend() noexcept;
 /// reductions stay in entry order.
 std::size_t parallel_intersect_threshold() noexcept;
 void set_parallel_intersect_threshold(std::size_t entries) noexcept;
-
-/// RAII thread-local hint installing an already-compiled model for a
-/// specific SpeedList: while in scope, detail::SearchState construction
-/// over an *identical* list (same pointers, same order) reuses `compiled`
-/// instead of compiling again. The batch server compiles each request once
-/// and wraps the engine call in a guard, halving the per-miss compile work;
-/// nested guards save and restore the outer hint. `speeds` and `compiled`
-/// must outlive the guard.
-class PrecompiledGuard {
- public:
-  PrecompiledGuard(const SpeedList& speeds,
-                   const CompiledSpeedList& compiled) noexcept;
-  ~PrecompiledGuard();
-  PrecompiledGuard(const PrecompiledGuard&) = delete;
-  PrecompiledGuard& operator=(const PrecompiledGuard&) = delete;
-
- private:
-  const SpeedList* prev_speeds_;
-  const CompiledSpeedList* prev_compiled_;
-};
-
-/// The currently installed hint when it was built from `speeds` (element-
-/// wise pointer equality); nullptr otherwise.
-const CompiledSpeedList* precompiled_match(const SpeedList& speeds) noexcept;
 
 }  // namespace fpm::core

@@ -1,8 +1,8 @@
 #include "core/detail/search_state.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "core/detail/speed_kernels.hpp"
 
@@ -22,55 +22,35 @@ constexpr double kWarmInitialSpread = 1.0 + 0x1p-12;
 constexpr double kWarmMaxSpread = 16.0;
 constexpr int kWarmProbeBudget = 12;
 
+// Saturation point of the per-processor candidate count (see
+// interior_count): far above any integer size a partition can hold, and
+// small enough that two capped floors subtract without overflow.
+constexpr double kInteriorCountCap = 0x1p62;
+
 }  // namespace
 
-SearchState::SearchState(const SpeedList& speeds, std::int64_t n,
+PartitionResult zero_result(const char* algorithm, std::size_t p) {
+  PartitionResult result;
+  result.stats.algorithm = algorithm;
+  result.distribution.counts.assign(p, 0);
+  return result;
+}
+
+SearchState::SearchState(const CompiledSpeedList& models, std::int64_t n,
                          const SearchObserver* observer,
                          const PartitionHint* hint)
-    : n_(static_cast<double>(n)),
+    : models_(models),
+      n_(static_cast<double>(n)),
       saturation_base_(bracket_saturation_tally()),
       observer_(observer) {
-  speeds_.reserve(speeds.size());
-  if (compiled_partitioning_enabled()) {
-    // Compiled mode: flatten once, then run the bracket detection and both
-    // initial line solves on the devirtualized kernels. The entry views only
-    // exist so counted_speeds() keeps its SpeedList shape for fine-tuning.
-    // A PrecompiledGuard hint for this exact list (the batch server compiles
-    // each request once up front) short-circuits the compilation entirely.
-    if (const CompiledSpeedList* pre = precompiled_match(speeds)) {
-      compiled_ = pre;
-    } else {
-      compiled_storage_.emplace(CompiledSpeedList::compile(speeds));
-      compiled_ = &*compiled_storage_;
-    }
-    entry_views_.reserve(speeds.size());
-    for (std::size_t i = 0; i < speeds.size(); ++i) {
-      entry_views_.emplace_back(*compiled_, i, &counters_);
-      speeds_.push_back(&entry_views_.back());
-    }
-  } else {
-    views_.reserve(speeds.size());
-    for (const SpeedFunction* f : speeds) {
-      views_.emplace_back(*f, &counters_.speed_evals,
-                          &counters_.intersect_solves);
-      speeds_.push_back(&views_.back());
-    }
-  }
   if (hint != nullptr && hint->usable())
-    warmstart_ =
-        try_warm_bracket(*hint, n, speeds) ? WarmStart::Hit : WarmStart::Stale;
+    warmstart_ = try_warm_bracket(*hint, n) ? WarmStart::Hit : WarmStart::Stale;
   if (warmstart_ != WarmStart::Hit) {
-    if (compiled_ != nullptr) {
-      bracket_ = detect_bracket(*compiled_, n, &counters_);
-      small_ = sizes_at(*compiled_, bracket_.hi_slope, &counters_);
-      large_ = sizes_at(*compiled_, bracket_.lo_slope, &counters_);
-    } else {
-      bracket_ = detect_bracket(speeds_, n);
-      small_ = sizes_at(speeds_, bracket_.hi_slope);
-      large_ = sizes_at(speeds_, bracket_.lo_slope);
-    }
+    bracket_ = detect_bracket(models_, n, &counters_);
+    small_ = sizes_at(models_, bracket_.hi_slope, &counters_);
+    large_ = sizes_at(models_, bracket_.lo_slope, &counters_);
   }
-  intersections_ += static_cast<int>(2 * speeds_.size());
+  intersections_ += static_cast<int>(2 * models_.size());
   if (observing())
     emit(SearchStepKind::Bracket, bracket_.hi_slope, false, kNoProcessor);
 }
@@ -79,18 +59,13 @@ std::int64_t SearchState::bracket_saturations() const noexcept {
   return bracket_saturation_tally() - saturation_base_;
 }
 
-bool SearchState::try_warm_bracket(const PartitionHint& hint, std::int64_t n,
-                                   const SpeedList& original) {
+bool SearchState::try_warm_bracket(const PartitionHint& hint, std::int64_t n) {
   // A hint computed against different models is stale by definition; the
   // fingerprint check catches silent model swaps behind an unchanged call
   // site. fingerprint == 0 opts out (callers whose curves legitimately
   // change every round rely on the bracket verification below instead).
-  if (hint.fingerprint != 0) {
-    const std::uint64_t fp = compiled_ != nullptr
-                                 ? compiled_->fingerprint()
-                                 : CompiledSpeedList::fingerprint_of(original);
-    if (fp != hint.fingerprint) return false;
-  }
+  if (hint.fingerprint != 0 && models_.fingerprint() != hint.fingerprint)
+    return false;
   // When n drifted, rescale: sizes at a slope scale roughly like 1/slope,
   // so the new optimum sits near slope·(old n / new n).
   double center = hint.slope;
@@ -101,8 +76,7 @@ bool SearchState::try_warm_bracket(const PartitionHint& hint, std::int64_t n,
   const double nd = static_cast<double>(n);
   int budget = kWarmProbeBudget;
   const auto solve = [&](double slope, std::vector<double>& sizes) {
-    sizes = compiled_ != nullptr ? sizes_at(*compiled_, slope, &counters_)
-                                 : sizes_at(speeds_, slope);
+    sizes = sizes_at(models_, slope, &counters_);
     --budget;
     double total = 0.0;
     for (const double x : sizes) total += x;
@@ -149,17 +123,26 @@ bool SearchState::try_warm_bracket(const PartitionHint& hint, std::int64_t n,
 }
 
 std::int64_t SearchState::interior_count(std::size_t i) const {
-  // Integers k with small[i] < k <= large[i].
+  // Integers k with small[i] < k <= large[i]. Intersections are >= 0; the
+  // clamp keeps both floors representable, so the difference cannot
+  // overflow.
   const double lo = small_[i];
   const double hi = large_[i];
   if (hi <= lo) return 0;
-  return static_cast<std::int64_t>(std::floor(hi)) -
-         static_cast<std::int64_t>(std::floor(lo));
+  const auto capped_floor = [](double x) {
+    return static_cast<std::int64_t>(
+        std::clamp(std::floor(x), 0.0, kInteriorCountCap));
+  };
+  return capped_floor(hi) - capped_floor(lo);
 }
 
 std::int64_t SearchState::total_interior() const {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   std::int64_t total = 0;
-  for (std::size_t i = 0; i < speeds_.size(); ++i) total += interior_count(i);
+  for (std::size_t i = 0; i < small_.size(); ++i) {
+    const std::int64_t c = interior_count(i);
+    total = c > kMax - total ? kMax : total + c;
+  }
   return total;
 }
 
@@ -167,12 +150,33 @@ bool SearchState::converged() const {
   // No integer strictly inside (small[i], large[i]) for any processor. A
   // candidate equal to a bracket endpoint is already represented by that
   // line, so strict interiority is the right test.
-  for (std::size_t i = 0; i < speeds_.size(); ++i) {
+  for (std::size_t i = 0; i < large_.size(); ++i) {
     double k = std::floor(large_[i]);
     if (k == large_[i]) k -= 1.0;  // want strictly below the shallow line
     if (k > small_[i]) return false;
   }
   return true;
+}
+
+PartitionResult SearchState::finish(const char* algorithm, std::int64_t n,
+                                    const std::optional<PartitionHint>& hint) {
+  PartitionResult result;
+  PartitionStats& stats = result.stats;
+  stats.algorithm = algorithm;
+  stats.iterations = iterations_;
+  stats.intersections = intersections_;
+  stats.final_slope = bracket_.hi_slope;
+  stats.search_speed_evals = counters_.speed_evals;
+  stats.search_intersect_solves = counters_.intersect_solves;
+  result.distribution = fine_tune(models_, n, small_, &counters_);
+  stats.speed_evals = counters_.speed_evals;
+  stats.intersect_solves = counters_.intersect_solves;
+  stats.bracket_saturations = bracket_saturations();
+  stats.warmstart = warmstart_;
+  if (warmstart_ == WarmStart::Hit)
+    stats.iterations_saved =
+        std::max(0, hint->baseline_iterations - iterations_);
+  return result;
 }
 
 void SearchState::emit(SearchStepKind kind, double slope, bool kept_low,
@@ -192,10 +196,8 @@ void SearchState::emit(SearchStepKind kind, double slope, bool kept_low,
 void SearchState::split_at(double slope, SearchStepKind kind,
                            std::size_t processor) {
   ++iterations_;
-  std::vector<double> sizes = compiled_
-                                  ? sizes_at(*compiled_, slope, &counters_)
-                                  : sizes_at(speeds_, slope);
-  intersections_ += static_cast<int>(speeds_.size());
+  std::vector<double> sizes = sizes_at(models_, slope, &counters_);
+  intersections_ += static_cast<int>(models_.size());
   double sum = 0.0;
   for (const double x : sizes) sum += x;
   bool kept_low;
@@ -253,7 +255,7 @@ void SearchState::step_modified() {
   // Processor whose graph carries the most candidate solutions.
   std::size_t best = 0;
   std::int64_t best_count = -1;
-  for (std::size_t i = 0; i < speeds_.size(); ++i) {
+  for (std::size_t i = 0; i < models_.size(); ++i) {
     const std::int64_t c = interior_count(i);
     if (c > best_count) {
       best_count = c;
@@ -261,7 +263,11 @@ void SearchState::step_modified() {
     }
   }
   const double m = 0.5 * (small_[best] + large_[best]);
-  double slope = m > 0.0 ? speeds_[best]->speed(m) / m : 0.0;
+  double slope = 0.0;
+  if (m > 0.0) {
+    ++counters_.speed_evals;
+    slope = models_.speed(best, m) / m;
+  }
   // m lies strictly between the two intersections of graph `best`, so by the
   // decreasing-ratio property the new slope lies strictly inside the slope
   // interval; re-bisect on tangents if round-off breaks that.

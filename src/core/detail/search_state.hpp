@@ -1,58 +1,55 @@
 // Internal shared state for the bracketing line search used by the basic,
-// modified, and combined partitioning algorithms. Not part of the public
-// API; include only from core/*.cpp.
+// modified, combined and interpolation partitioning algorithms, plus the
+// compiled-model entry points of the registry algorithms. Not part of the
+// public API; include only from core/*.cpp.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "core/bisection.hpp"
+#include "core/bounded.hpp"
+#include "core/combined.hpp"
 #include "core/compiled.hpp"
 #include "core/finetune.hpp"
+#include "core/interpolation.hpp"
+#include "core/modified.hpp"
 #include "core/observer.hpp"
 #include "core/partition.hpp"
 
 namespace fpm::core::detail {
 
-/// Non-owning wrapper that counts every speed() evaluation and intersect()
-/// solve made through it, forwarding both to the wrapped function so the
-/// numerics (including closed-form intersects) are bit-identical. The
-/// counters live in the owning SearchState and outlive the view.
-class CountingSpeedView final : public SpeedFunction {
- public:
-  CountingSpeedView(const SpeedFunction& base, std::int64_t* speed_evals,
-                    std::int64_t* intersect_solves)
-      : base_(&base),
-        speed_evals_(speed_evals),
-        intersect_solves_(intersect_solves) {}
+/// The registry algorithms over a compiled model. The public
+/// partition_*(const SpeedList&, ...) functions compile once and forward
+/// here; core::partition(const CompiledSpeedList&, ...) dispatches here
+/// directly. `models` must outlive the call.
+PartitionResult solve_basic(const CompiledSpeedList& models, std::int64_t n,
+                            const BasicBisectionOptions& opts);
+PartitionResult solve_modified(const CompiledSpeedList& models,
+                               std::int64_t n,
+                               const ModifiedBisectionOptions& opts);
+PartitionResult solve_combined(const CompiledSpeedList& models,
+                               std::int64_t n, const CombinedOptions& opts);
+PartitionResult solve_interpolation(const CompiledSpeedList& models,
+                                    std::int64_t n,
+                                    const InterpolationOptions& opts);
+PartitionResult solve_bounded(const CompiledSpeedList& models, std::int64_t n,
+                              std::span<const std::int64_t> bounds,
+                              const BoundedOptions& opts);
 
-  double speed(double x) const override {
-    ++*speed_evals_;
-    return base_->speed(x);
-  }
-  double max_size() const override { return base_->max_size(); }
-  double intersect(double slope) const override {
-    ++*intersect_solves_;
-    return base_->intersect(slope);
-  }
-
- private:
-  const SpeedFunction* base_;
-  std::int64_t* speed_evals_;
-  std::int64_t* intersect_solves_;
-};
+/// The all-zero answer every algorithm returns for n <= 0.
+PartitionResult zero_result(const char* algorithm, std::size_t p);
 
 /// The region between two lines through the origin, tracked as the slope
 /// interval together with the per-processor intersection coordinates.
 ///
-/// When compiled_partitioning_enabled() (the default) the constructor
-/// flattens the input through CompiledSpeedList once, and every hot-path
-/// solve (bracket detection, line splits) runs on the compiled kernels with
-/// no virtual dispatch; counted_speeds() then exposes CompiledEntryView
-/// adaptors feeding the same counters, so fine-tuning stays accounted. With
-/// the toggle off the legacy CountingSpeedView path runs instead. Both
-/// paths execute the shared kernels of detail/speed_kernels.hpp and are
-/// bit-identical, counters included.
+/// The search runs on one compiled model it does not own: bracket
+/// detection, line splits, the modified step's speed probe and the
+/// fine-tune epilogue all evaluate through the CompiledSpeedList kernels
+/// and count into one EvalCounters, so the PartitionStats accounting is the
+/// SpeedFunction-boundary count of every evaluation the search asked for.
 class SearchState {
  public:
   /// Initializes from the Figure-18 bracket and solves both lines. The
@@ -61,14 +58,11 @@ class SearchState {
   /// this object. A usable `hint` replaces the cold bracket with a tight
   /// verified one around the hinted slope (see PartitionHint); verification
   /// failure falls back to the cold bracket, so the search result is
-  /// bit-identical with or without the hint.
-  SearchState(const SpeedList& speeds, std::int64_t n,
+  /// bit-identical with or without the hint. `models` must outlive this
+  /// object.
+  SearchState(const CompiledSpeedList& models, std::int64_t n,
               const SearchObserver* observer = nullptr,
               const PartitionHint* hint = nullptr);
-
-  // speeds_ holds pointers into views_, so shallow copies would dangle.
-  SearchState(const SearchState&) = delete;
-  SearchState& operator=(const SearchState&) = delete;
 
   /// Per-processor intersections with the steep line (sum <= n).
   const std::vector<double>& small() const noexcept { return small_; }
@@ -80,43 +74,30 @@ class SearchState {
   int iterations() const noexcept { return iterations_; }
   int intersections() const noexcept { return intersections_; }
 
-  /// Speed-function evaluations observed at the SpeedFunction boundary
-  /// (includes bracket-detection probes, unlike intersections()).
-  std::int64_t speed_evals() const noexcept { return counters_.speed_evals; }
-  /// c·x = s(x) solves observed at the SpeedFunction boundary.
-  std::int64_t intersect_solves() const noexcept {
-    return counters_.intersect_solves;
-  }
-
   /// Generic-bisection bracket saturations observed since this state was
   /// constructed (the thread-local tally delta — intersect_all migrates
   /// pool-thread chunks back to the solving thread, so the delta is
   /// complete). Read from the constructing thread, like the counters.
   std::int64_t bracket_saturations() const noexcept;
 
-  /// What the constructor did with the warm-start hint.
-  WarmStart warmstart() const noexcept { return warmstart_; }
-
-  /// The counting views over the caller's speeds, for running follow-up
-  /// solves (e.g. fine-tuning) under the same counters. Valid only while
-  /// this SearchState is alive.
-  const SpeedList& counted_speeds() const noexcept { return speeds_; }
-
-  /// The Figure-9 fine-tune over this search's steep line: the batched
-  /// compiled overload (one speeds_at sweep seeds the award heap) when the
-  /// search ran on a compiled model, the counted virtual views otherwise.
-  /// Both paths feed the same counters and are bit-identical with the
-  /// scalar kernels.
-  Distribution fine_tune_epilogue(std::int64_t n) {
-    return compiled_ != nullptr ? fine_tune(*compiled_, n, small_, &counters_)
-                                : fine_tune(speeds_, n, small_);
-  }
+  /// Ends the search: runs the Figure-9 fine-tune over the steep line (the
+  /// batched compiled overload, counted into this search's counters) and
+  /// returns it with the search's PartitionStats. speed_evals and
+  /// intersect_solves count every evaluation at the SpeedFunction
+  /// boundary, bracket probes included; the search_* fields stop before
+  /// the fine-tune. `hint` is the one the search was started with; it
+  /// supplies iterations_saved on a hit.
+  PartitionResult finish(const char* algorithm, std::int64_t n,
+                         const std::optional<PartitionHint>& hint);
 
   /// Count of integers k with small[i] < k <= large[i]: the candidate
   /// solutions the i-th graph still contributes to the solution space.
+  /// Both floors saturate at 2^62, so a line far beyond any integer size
+  /// (a cold bracket's shallow side can sit at 1e20) still yields a valid
+  /// count; below that bound the count is exact.
   std::int64_t interior_count(std::size_t i) const;
 
-  /// Sum of interior_count over all processors.
+  /// Sum of interior_count over all processors, saturating at INT64_MAX.
   std::int64_t total_interior() const;
 
   /// The paper's stopping criterion: no processor bracket contains an
@@ -151,24 +132,13 @@ class SearchState {
   /// Attempts to open a verified bracket around the hinted slope; on
   /// success fills bracket_/small_/large_ and returns true. On failure the
   /// members are untouched and the caller runs the cold detection.
-  bool try_warm_bracket(const PartitionHint& hint, std::int64_t n,
-                        const SpeedList& original);
+  bool try_warm_bracket(const PartitionHint& hint, std::int64_t n);
 
   bool observing() const { return observer_ && *observer_; }
   void emit(SearchStepKind kind, double slope, bool kept_low,
             std::size_t processor) const;
 
-  // Exactly one of the two view vectors is populated, depending on the
-  // compiled-partitioning toggle at construction; speeds_ points into it.
-  // Both kinds of view feed counters_, so the accessors are mode-agnostic.
-  // In compiled mode compiled_ points either at compiled_storage_ (we
-  // compiled here) or at a caller-owned model installed via
-  // PrecompiledGuard (the batch server's once-per-request compilation).
-  std::optional<CompiledSpeedList> compiled_storage_;
-  const CompiledSpeedList* compiled_ = nullptr;  // set in compiled mode
-  std::vector<CompiledEntryView> entry_views_;   // compiled mode
-  std::vector<CountingSpeedView> views_;        // legacy (virtual) mode
-  SpeedList speeds_;                            // pointers into a view vector
+  const CompiledSpeedList& models_;
   double n_;
   SlopeBracket bracket_;
   std::vector<double> small_;

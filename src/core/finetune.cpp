@@ -13,33 +13,76 @@ double time_at(const SpeedFunction& f, std::int64_t x) {
   return f.time(static_cast<double>(x));
 }
 
+/// Completion times over a SpeedList, one virtual call each.
+struct ListTimes {
+  const SpeedList& speeds;
+
+  std::size_t size() const noexcept { return speeds.size(); }
+  double time(std::size_t i, std::int64_t x) const {
+    return time_at(*speeds[i], x);
+  }
+  /// time(i, counts[i] + 1) for every i: the award heap's seed.
+  std::vector<double> award_times(const Distribution& d) const {
+    std::vector<double> ts(speeds.size());
+    for (std::size_t i = 0; i < speeds.size(); ++i)
+      ts[i] = time(i, d.counts[i] + 1);
+    return ts;
+  }
+};
+
+/// Completion times over a compiled model, each counted as one speed
+/// evaluation at the SpeedFunction boundary (x >= 1 here, so the time()
+/// zero-guard never fires). The award seed is one batched speeds_at sweep
+/// (vectorized for the power/exp lanes); with the scalar kernels it is
+/// bit-identical to ListTimes.
+struct CompiledTimes {
+  const CompiledSpeedList& speeds;
+  EvalCounters* counters;
+
+  std::size_t size() const noexcept { return speeds.size(); }
+  double time(std::size_t i, std::int64_t x) const {
+    if (counters) ++counters->speed_evals;
+    const double xd = static_cast<double>(x);
+    return xd / speeds.speed(i, xd);
+  }
+  std::vector<double> award_times(const Distribution& d) const {
+    std::vector<double> xs(speeds.size());
+    for (std::size_t i = 0; i < speeds.size(); ++i)
+      xs[i] = static_cast<double>(d.counts[i] + 1);
+    std::vector<double> ts = speeds_at(speeds, xs, counters);
+    for (std::size_t i = 0; i < ts.size(); ++i) ts[i] = xs[i] / ts[i];
+    return ts;
+  }
+};
+
 /// Awards `deficit` single elements, each to the processor whose
 /// post-award completion time is smallest.
-void award_greedily(const SpeedList& speeds, Distribution& d,
+template <typename Times>
+void award_greedily(const Times& times, Distribution& d,
                     std::int64_t deficit) {
   using Entry = std::pair<double, std::size_t>;  // (post-award time, index)
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (std::size_t i = 0; i < speeds.size(); ++i)
-    heap.emplace(time_at(*speeds[i], d.counts[i] + 1), i);
-  while (deficit > 0) {
+  const std::vector<double> seed = times.award_times(d);
+  for (std::size_t i = 0; i < seed.size(); ++i) heap.emplace(seed[i], i);
+  for (; deficit > 0; --deficit) {
     const auto [t, i] = heap.top();
     heap.pop();
     ++d.counts[i];
-    --deficit;
-    heap.emplace(time_at(*speeds[i], d.counts[i] + 1), i);
+    heap.emplace(times.time(i, d.counts[i] + 1), i);
   }
 }
 
-}  // namespace
-
-Distribution fine_tune(const SpeedList& speeds, std::int64_t n,
-                       std::span<const double> small_sizes) {
-  if (speeds.size() != small_sizes.size())
+/// The Figure-9 completion shared by both fine_tune overloads.
+template <typename Times>
+Distribution fine_tune_with(const Times& times, std::int64_t n,
+                            std::span<const double> small_sizes) {
+  if (times.size() != small_sizes.size())
     throw std::invalid_argument("fine_tune: size mismatch");
+  if (n < 0) throw std::invalid_argument("fine_tune: n must be >= 0");
   Distribution d;
-  d.counts.resize(speeds.size());
+  d.counts.resize(times.size());
   std::int64_t assigned = 0;
-  for (std::size_t i = 0; i < speeds.size(); ++i) {
+  for (std::size_t i = 0; i < times.size(); ++i) {
     d.counts[i] = std::max<std::int64_t>(
         0, static_cast<std::int64_t>(std::floor(small_sizes[i])));
     assigned += d.counts[i];
@@ -47,94 +90,43 @@ Distribution fine_tune(const SpeedList& speeds, std::int64_t n,
   if (assigned > n) {
     // Defensive: the steep line should under-fill, but round-off can leave
     // an excess of a few elements; shed them from the slowest finishers.
+    // n >= 0 bounds the excess by the assigned total, so the heap never
+    // runs dry.
     using Entry = std::pair<double, std::size_t>;
     std::priority_queue<Entry> heap;  // max by current completion time
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      if (d.counts[i] > 0) heap.emplace(time_at(*speeds[i], d.counts[i]), i);
+    for (std::size_t i = 0; i < times.size(); ++i)
+      if (d.counts[i] > 0) heap.emplace(times.time(i, d.counts[i]), i);
     for (std::int64_t excess = assigned - n; excess > 0; --excess) {
       assert(!heap.empty());
       const auto [t, i] = heap.top();
       heap.pop();
       --d.counts[i];
-      if (d.counts[i] > 0) heap.emplace(time_at(*speeds[i], d.counts[i]), i);
+      if (d.counts[i] > 0) heap.emplace(times.time(i, d.counts[i]), i);
     }
     return d;
   }
-  award_greedily(speeds, d, n - assigned);
+  award_greedily(times, d, n - assigned);
   return d;
-}
-
-namespace {
-
-/// time(x) over one compiled entry, counted at the same boundary as
-/// CountingSpeedView / CompiledEntryView (one speed eval per call; x >= 1
-/// here, so the time() zero-guard never fires).
-double compiled_time_at(const CompiledSpeedList& speeds,
-                        EvalCounters* counters, std::size_t i,
-                        std::int64_t x) {
-  if (counters) ++counters->speed_evals;
-  const double xd = static_cast<double>(x);
-  return xd / speeds.speed(i, xd);
 }
 
 }  // namespace
 
+Distribution fine_tune(const SpeedList& speeds, std::int64_t n,
+                       std::span<const double> small_sizes) {
+  return fine_tune_with(ListTimes{speeds}, n, small_sizes);
+}
+
 Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
                        std::span<const double> small_sizes,
                        EvalCounters* counters) {
-  if (speeds.size() != small_sizes.size())
-    throw std::invalid_argument("fine_tune: size mismatch");
-  Distribution d;
-  d.counts.resize(speeds.size());
-  std::int64_t assigned = 0;
-  for (std::size_t i = 0; i < speeds.size(); ++i) {
-    d.counts[i] = std::max<std::int64_t>(
-        0, static_cast<std::int64_t>(std::floor(small_sizes[i])));
-    assigned += d.counts[i];
-  }
-  using Entry = std::pair<double, std::size_t>;
-  if (assigned > n) {
-    // Defensive shed, as in the SpeedList overload: rare (round-off only),
-    // so it stays per-entry.
-    std::priority_queue<Entry> heap;  // max by current completion time
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      if (d.counts[i] > 0)
-        heap.emplace(compiled_time_at(speeds, counters, i, d.counts[i]), i);
-    for (std::int64_t excess = assigned - n; excess > 0; --excess) {
-      assert(!heap.empty());
-      const auto [t, i] = heap.top();
-      heap.pop();
-      --d.counts[i];
-      if (d.counts[i] > 0)
-        heap.emplace(compiled_time_at(speeds, counters, i, d.counts[i]), i);
-    }
-    return d;
-  }
-  // Seed the award heap from one batched sweep over the post-award sizes
-  // (counts + 1 >= 1, all in-domain). The heap sees the same (time, index)
-  // pairs in the same i-ascending push order as award_greedily, so with the
-  // scalar kernels the pop sequence — and the allocation — is bit-identical.
-  std::vector<double> xs(speeds.size());
-  for (std::size_t i = 0; i < speeds.size(); ++i)
-    xs[i] = static_cast<double>(d.counts[i] + 1);
-  const std::vector<double> sp = speeds_at(speeds, xs, counters);
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (std::size_t i = 0; i < speeds.size(); ++i)
-    heap.emplace(xs[i] / sp[i], i);
-  for (std::int64_t deficit = n - assigned; deficit > 0; --deficit) {
-    const auto [t, i] = heap.top();
-    heap.pop();
-    ++d.counts[i];
-    heap.emplace(compiled_time_at(speeds, counters, i, d.counts[i] + 1), i);
-  }
-  return d;
+  return fine_tune_with(CompiledTimes{speeds, counters}, n, small_sizes);
 }
 
 Distribution greedy_from_zero(const SpeedList& speeds, std::int64_t n) {
   if (speeds.empty()) throw std::invalid_argument("greedy_from_zero: no speeds");
   Distribution d;
   d.counts.assign(speeds.size(), 0);
-  award_greedily(speeds, d, n);
+  award_greedily(ListTimes{speeds}, d, n);
   return d;
 }
 

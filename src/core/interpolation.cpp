@@ -1,28 +1,23 @@
 #include "core/interpolation.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/detail/search_state.hpp"
-#include "core/finetune.hpp"
 
 namespace fpm::core {
 
-PartitionResult partition_interpolation(const SpeedList& speeds,
-                                        std::int64_t n,
-                                        const InterpolationOptions& opts) {
-  if (speeds.empty())
+namespace detail {
+
+PartitionResult solve_interpolation(const CompiledSpeedList& models,
+                                    std::int64_t n,
+                                    const InterpolationOptions& opts) {
+  if (models.size() == 0)
     throw std::invalid_argument("partition_interpolation: no speeds");
-  PartitionResult result;
-  result.stats.algorithm = kAlgorithmInterpolation;
-  if (n <= 0) {
-    result.distribution.counts.assign(speeds.size(), 0);
-    return result;
-  }
-  detail::SearchState state(speeds, n, &opts.observer,
-                            opts.hint ? &*opts.hint : nullptr);
+  if (n <= 0) return zero_result(kAlgorithmInterpolation, models.size());
+  SearchState state(models, n, &opts.observer,
+                    opts.hint ? &*opts.hint : nullptr);
   const double target = std::log(static_cast<double>(n));
 
   while (!state.converged() && state.iterations() < opts.max_iterations) {
@@ -55,20 +50,16 @@ PartitionResult partition_interpolation(const SpeedList& speeds,
     }
     state.step_custom(std::exp(lc));
   }
-  result.stats.iterations = state.iterations();
-  result.stats.intersections = state.intersections();
-  result.stats.final_slope = state.hi_slope();
-  result.stats.search_speed_evals = state.speed_evals();
-  result.stats.search_intersect_solves = state.intersect_solves();
-  result.distribution = state.fine_tune_epilogue(n);
-  result.stats.speed_evals = state.speed_evals();
-  result.stats.intersect_solves = state.intersect_solves();
-  result.stats.bracket_saturations = state.bracket_saturations();
-  result.stats.warmstart = state.warmstart();
-  if (result.stats.warmstart == WarmStart::Hit)
-    result.stats.iterations_saved = std::max(
-        0, opts.hint->baseline_iterations - result.stats.iterations);
-  return result;
+  return state.finish(kAlgorithmInterpolation, n, opts.hint);
+}
+
+}  // namespace detail
+
+PartitionResult partition_interpolation(const SpeedList& speeds,
+                                        std::int64_t n,
+                                        const InterpolationOptions& opts) {
+  return detail::solve_interpolation(CompiledSpeedList::compile(speeds), n,
+                                     opts);
 }
 
 }  // namespace fpm::core

@@ -5,44 +5,34 @@
 #include <stdexcept>
 
 #include "core/detail/search_state.hpp"
-#include "core/finetune.hpp"
 
 namespace fpm::core {
 
-PartitionResult partition_modified(const SpeedList& speeds, std::int64_t n,
-                                   const ModifiedBisectionOptions& opts) {
-  if (speeds.empty())
+namespace detail {
+
+PartitionResult solve_modified(const CompiledSpeedList& models, std::int64_t n,
+                               const ModifiedBisectionOptions& opts) {
+  if (models.size() == 0)
     throw std::invalid_argument("partition_modified: no speeds");
-  PartitionResult result;
-  result.stats.algorithm = kAlgorithmModified;
-  if (n <= 0) {
-    result.distribution.counts.assign(speeds.size(), 0);
-    return result;
-  }
-  detail::SearchState state(speeds, n, &opts.observer,
-                            opts.hint ? &*opts.hint : nullptr);
+  if (n <= 0) return zero_result(kAlgorithmModified, models.size());
+  SearchState state(models, n, &opts.observer,
+                    opts.hint ? &*opts.hint : nullptr);
   // The guaranteed bound: each p steps halve the candidate count of at most
   // p·n lines, so p·log2(p·n) steps suffice; slack covers the bracket setup.
-  const double pd = static_cast<double>(speeds.size());
+  const double pd = static_cast<double>(models.size());
   const int bound = static_cast<int>(
       pd * (std::log2(static_cast<double>(n) * pd) + 4.0)) + 64;
   const int cap = std::min(opts.max_iterations, bound);
   while (!state.converged() && state.iterations() < cap)
     state.step_modified();
-  result.stats.iterations = state.iterations();
-  result.stats.intersections = state.intersections();
-  result.stats.final_slope = state.hi_slope();
-  result.stats.search_speed_evals = state.speed_evals();
-  result.stats.search_intersect_solves = state.intersect_solves();
-  result.distribution = state.fine_tune_epilogue(n);
-  result.stats.speed_evals = state.speed_evals();
-  result.stats.intersect_solves = state.intersect_solves();
-  result.stats.bracket_saturations = state.bracket_saturations();
-  result.stats.warmstart = state.warmstart();
-  if (result.stats.warmstart == WarmStart::Hit)
-    result.stats.iterations_saved = std::max(
-        0, opts.hint->baseline_iterations - result.stats.iterations);
-  return result;
+  return state.finish(kAlgorithmModified, n, opts.hint);
+}
+
+}  // namespace detail
+
+PartitionResult partition_modified(const SpeedList& speeds, std::int64_t n,
+                                   const ModifiedBisectionOptions& opts) {
+  return detail::solve_modified(CompiledSpeedList::compile(speeds), n, opts);
 }
 
 }  // namespace fpm::core

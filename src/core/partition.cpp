@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+
+#include "core/compiled.hpp"
 
 namespace fpm::core {
 
@@ -26,15 +29,22 @@ double total_size_at(const SpeedList& speeds, double slope) {
   return sum;
 }
 
-SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n) {
-  if (speeds.empty()) throw std::invalid_argument("detect_bracket: no speeds");
+namespace {
+
+/// The Figure-18 bracket over p processors: `probe_speed(i, x)` returns
+/// s_i(min(x, b_i)) and `total_at(c)` the total size at slope c. Both
+/// detect_bracket overloads run this one body, so they count and decide
+/// identically.
+template <typename ProbeSpeed, typename TotalAt>
+SlopeBracket figure18_bracket(std::size_t p, std::int64_t n,
+                              ProbeSpeed probe_speed, TotalAt total_at) {
+  if (p == 0) throw std::invalid_argument("detect_bracket: no speeds");
   if (n < 1) throw std::invalid_argument("detect_bracket: n must be >= 1");
-  const double p = static_cast<double>(speeds.size());
-  const double probe = static_cast<double>(n) / p;
+  const double probe = static_cast<double>(n) / static_cast<double>(p);
   double s_min = std::numeric_limits<double>::infinity();
   double s_max = 0.0;
-  for (const SpeedFunction* f : speeds) {
-    const double s = f->speed(std::min(probe, f->max_size()));
+  for (std::size_t i = 0; i < p; ++i) {
+    const double s = probe_speed(i, probe);
     s_min = std::min(s_min, s);
     s_max = std::max(s_max, s);
   }
@@ -45,15 +55,37 @@ SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n) {
   // Figure 18's construction guarantees the bracket under the shape
   // requirement; the expansion loops below make the function total for any
   // inputs. Intersections extend beyond the modelled ranges (see
-  // SpeedFunction::intersect), so total_size_at is unbounded as the slope
+  // SpeedFunction::intersect), so the total size is unbounded as the slope
   // approaches zero and the shallow expansion always terminates.
   const double nd = static_cast<double>(n);
-  for (int i = 0; i < 256 && total_size_at(speeds, br.hi_slope) > nd; ++i)
+  for (int i = 0; i < 256 && total_at(br.hi_slope) > nd; ++i)
     br.hi_slope *= 2.0;
-  for (int i = 0; i < 256 && total_size_at(speeds, br.lo_slope) < nd; ++i)
+  for (int i = 0; i < 256 && total_at(br.lo_slope) < nd; ++i)
     br.lo_slope *= 0.5;
   if (br.lo_slope > br.hi_slope) std::swap(br.lo_slope, br.hi_slope);
   return br;
+}
+
+}  // namespace
+
+SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n) {
+  return figure18_bracket(
+      speeds.size(), n,
+      [&](std::size_t i, double x) {
+        return speeds[i]->speed(std::min(x, speeds[i]->max_size()));
+      },
+      [&](double slope) { return total_size_at(speeds, slope); });
+}
+
+SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
+                            EvalCounters* counters) {
+  return figure18_bracket(
+      speeds.size(), n,
+      [&](std::size_t i, double x) {
+        if (counters) ++counters->speed_evals;
+        return speeds.speed(i, std::min(x, speeds.max_size(i)));
+      },
+      [&](double slope) { return total_size_at(speeds, slope, counters); });
 }
 
 Distribution partition_even(std::int64_t n, std::size_t p) {

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/detail/search_state.hpp"
 #include "obs/metrics.hpp"
 
 namespace fpm::core {
@@ -22,14 +23,15 @@ Opts options_for(const PartitionPolicy& policy, const char* id) {
 }
 
 std::vector<std::int64_t> bounds_or_capacity(const PartitionPolicy& policy,
-                                             const SpeedList& speeds) {
+                                             const CompiledSpeedList& models) {
   if (!policy.bounds.empty()) return policy.bounds;
   // Default capacity: the modelled range end of each curve (the paper's
   // point b — the size at which the processor pages itself to a halt).
   std::vector<std::int64_t> bounds;
-  bounds.reserve(speeds.size());
-  for (const SpeedFunction* f : speeds)
-    bounds.push_back(static_cast<std::int64_t>(std::ceil(f->max_size())));
+  bounds.reserve(models.size());
+  for (std::size_t i = 0; i < models.size(); ++i)
+    bounds.push_back(
+        static_cast<std::int64_t>(std::ceil(models.base(i)->max_size())));
   return bounds;
 }
 
@@ -38,59 +40,59 @@ PartitionerRegistry build_registry() {
   reg.add({kAlgorithmBasic,
            "angle/tangent bisection of the slope interval (paper Fig. 7-8)",
            "O(p*log n) on polynomial slopes, O(p*n) worst case", false},
-          [](const SpeedList& speeds, std::int64_t n,
+          [](const CompiledSpeedList& models, std::int64_t n,
              const PartitionPolicy& policy) {
             auto opts = options_for<BasicBisectionOptions>(policy,
                                                           kAlgorithmBasic);
             if (policy.observer) opts.observer = policy.observer;
             if (policy.hint) opts.hint = policy.hint;
-            return partition_basic(speeds, n, opts);
+            return detail::solve_basic(models, n, opts);
           });
   reg.add({kAlgorithmModified,
            "space-of-solutions bisection (paper Fig. 10-12)",
            "O(p^2*log2 n) guaranteed, shape-insensitive", false},
-          [](const SpeedList& speeds, std::int64_t n,
+          [](const CompiledSpeedList& models, std::int64_t n,
              const PartitionPolicy& policy) {
             auto opts = options_for<ModifiedBisectionOptions>(
                 policy, kAlgorithmModified);
             if (policy.observer) opts.observer = policy.observer;
             if (policy.hint) opts.hint = policy.hint;
-            return partition_modified(speeds, n, opts);
+            return detail::solve_modified(models, n, opts);
           });
   reg.add({kAlgorithmCombined,
            "basic bisection with stall-triggered switch to modified "
            "(paper Fig. 15)",
            "O(p*log n) typical, O(p^2*log2 n) after the switch", false},
-          [](const SpeedList& speeds, std::int64_t n,
+          [](const CompiledSpeedList& models, std::int64_t n,
              const PartitionPolicy& policy) {
             auto opts = options_for<CombinedOptions>(policy,
                                                      kAlgorithmCombined);
             if (policy.observer) opts.observer = policy.observer;
             if (policy.hint) opts.hint = policy.hint;
-            return partition_combined(speeds, n, opts);
+            return detail::solve_combined(models, n, opts);
           });
   reg.add({kAlgorithmInterpolation,
            "safeguarded log-log regula-falsi on the total-size curve",
            "superlinear in practice, <= 2x basic worst case", false},
-          [](const SpeedList& speeds, std::int64_t n,
+          [](const CompiledSpeedList& models, std::int64_t n,
              const PartitionPolicy& policy) {
             auto opts = options_for<InterpolationOptions>(
                 policy, kAlgorithmInterpolation);
             if (policy.observer) opts.observer = policy.observer;
             if (policy.hint) opts.hint = policy.hint;
-            return partition_interpolation(speeds, n, opts);
+            return detail::solve_interpolation(models, n, opts);
           });
   reg.add({kAlgorithmBounded,
            "clamp-and-resolve under per-processor capacity bounds",
            "<= p combined solves", true},
-          [](const SpeedList& speeds, std::int64_t n,
+          [](const CompiledSpeedList& models, std::int64_t n,
              const PartitionPolicy& policy) {
             auto opts = options_for<BoundedOptions>(policy, kAlgorithmBounded);
             if (policy.observer) opts.inner.observer = policy.observer;
             if (policy.hint) opts.inner.hint = policy.hint;
             const std::vector<std::int64_t> bounds =
-                bounds_or_capacity(policy, speeds);
-            return partition_bounded(speeds, n, bounds, opts);
+                bounds_or_capacity(policy, models);
+            return detail::solve_bounded(models, n, bounds, opts);
           });
   return reg;
 }
@@ -164,11 +166,11 @@ const PartitionerInfo* PartitionerRegistry::find(std::string_view id) const {
   return nullptr;
 }
 
-PartitionResult PartitionerRegistry::run(const SpeedList& speeds,
+PartitionResult PartitionerRegistry::run(const CompiledSpeedList& models,
                                          std::int64_t n,
                                          const PartitionPolicy& policy) const {
   for (std::size_t i = 0; i < infos_.size(); ++i)
-    if (infos_[i].id == policy.algorithm) return runners_[i](speeds, n, policy);
+    if (infos_[i].id == policy.algorithm) return runners_[i](models, n, policy);
   throw std::invalid_argument("partition: unknown algorithm '" +
                               policy.algorithm + "' (valid: " + joined_ids() +
                               ")");
@@ -179,9 +181,9 @@ const PartitionerRegistry& partitioner_registry() {
   return registry;
 }
 
-PartitionResult partition(const SpeedList& speeds, std::int64_t n,
+PartitionResult partition(const CompiledSpeedList& models, std::int64_t n,
                           const PartitionPolicy& policy) {
-  PartitionResult result = partitioner_registry().run(speeds, n, policy);
+  PartitionResult result = partitioner_registry().run(models, n, policy);
   // Roll the per-call PartitionStats accounting into the process-wide
   // registry: one invocation counter per algorithm id, plus the
   // SpeedFunction-boundary totals. Registry lookup cost is negligible next
@@ -204,6 +206,11 @@ PartitionResult partition(const SpeedList& speeds, std::int64_t n,
     reg.counter(obs::names::kPartitionWarmstartStale).add(1);
   }
   return result;
+}
+
+PartitionResult partition(const SpeedList& speeds, std::int64_t n,
+                          const PartitionPolicy& policy) {
+  return partition(CompiledSpeedList::compile(speeds), n, policy);
 }
 
 PartitionPolicy parse_policy(std::string_view algorithm,

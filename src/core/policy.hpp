@@ -20,6 +20,7 @@
 #include "core/bisection.hpp"
 #include "core/bounded.hpp"
 #include "core/combined.hpp"
+#include "core/compiled.hpp"
 #include "core/interpolation.hpp"
 #include "core/modified.hpp"
 #include "core/observer.hpp"
@@ -70,7 +71,7 @@ struct PartitionerInfo {
 class PartitionerRegistry {
  public:
   using Runner = std::function<PartitionResult(
-      const SpeedList&, std::int64_t, const PartitionPolicy&)>;
+      const CompiledSpeedList&, std::int64_t, const PartitionPolicy&)>;
 
   /// Registers an algorithm; ids must be unique.
   void add(PartitionerInfo info, Runner runner);
@@ -90,7 +91,7 @@ class PartitionerRegistry {
   /// Dispatches to the algorithm named by policy.algorithm. Throws
   /// std::invalid_argument naming the valid ids when the id is unknown, or
   /// when policy.options holds a different algorithm's options.
-  PartitionResult run(const SpeedList& speeds, std::int64_t n,
+  PartitionResult run(const CompiledSpeedList& models, std::int64_t n,
                       const PartitionPolicy& policy) const;
 
  private:
@@ -104,8 +105,16 @@ const PartitionerRegistry& partitioner_registry();
 
 /// The engine entry point every consumer layer calls: partitions n elements
 /// over the listed speeds with the algorithm selected by `policy`. The
-/// default policy is exactly partition_combined(speeds, n).
+/// default policy is exactly partition_combined(speeds, n). Compiles the
+/// list once and forwards to the compiled overload.
 PartitionResult partition(const SpeedList& speeds, std::int64_t n,
+                          const PartitionPolicy& policy = {});
+
+/// The same over an already-compiled model (e.g. the server's, compiled
+/// once per missed request): no further walk over the models, and the
+/// result is identical to partition() over the list `models` was compiled
+/// from. The original SpeedFunction objects must still be alive.
+PartitionResult partition(const CompiledSpeedList& models, std::int64_t n,
                           const PartitionPolicy& policy = {});
 
 /// Parses a policy from an id plus "key value" token pairs — the grammar

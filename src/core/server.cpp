@@ -429,19 +429,19 @@ void PartitionServer::update_hint(std::uint64_t fingerprint, std::int64_t n,
 }
 
 PartitionResult PartitionServer::partition_with_hint(
-    const SpeedList& speeds, std::int64_t n, const PartitionPolicy& policy,
-    std::uint64_t fingerprint) {
-  if (!warm_start_) return partition(speeds, n, policy);
+    const CompiledSpeedList& models, std::int64_t n,
+    const PartitionPolicy& policy) {
+  if (!warm_start_) return partition(models, n, policy);
   PartitionResult result;
   if (policy.hint) {
     // The caller brought their own hint; honour it untouched.
-    result = partition(speeds, n, policy);
+    result = partition(models, n, policy);
   } else {
     PartitionPolicy hinted = policy;
-    hinted.hint = lookup_hint(fingerprint);
-    result = partition(speeds, n, hinted);
+    hinted.hint = lookup_hint(models.fingerprint());
+    result = partition(models, n, hinted);
   }
-  update_hint(fingerprint, n, result);
+  update_hint(models.fingerprint(), n, result);
   return result;
 }
 
@@ -470,13 +470,11 @@ PartitionResult PartitionServer::serve_keyed(const SpeedList& speeds,
   if (cache_.capacity() == 0) {
     // Caching disabled: still count the request (as uncacheable) so the
     // hit-rate denominator hits + misses + uncacheable matches the request
-    // count, and still compile once so the engine skips its own pass. The
+    // count, and still compile once: the engine solves on that model. The
     // slope hints are independent of result caching and stay live.
     uncacheable_.fetch_add(1, std::memory_order_relaxed);
     metrics_.uncacheable.add(1);
-    const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
-    PrecompiledGuard guard(speeds, compiled);
-    return partition_with_hint(speeds, n, policy, compiled.fingerprint());
+    return partition_with_hint(CompiledSpeedList::compile(speeds), n, policy);
   }
   // Key via the allocation-free fingerprint (unless an earlier step of the
   // request already computed it): a hit must not pay for a compilation it
@@ -490,15 +488,10 @@ PartitionResult PartitionServer::serve_keyed(const SpeedList& speeds,
     return result;
   }
   metrics_.misses.add(1);
-  // Miss: compile once here and hand the model to the engine through the
-  // thread-local guard, so SearchState does not compile a second time. A
-  // near-miss (fingerprint seen before under a different n) warm-starts
-  // from the remembered slope.
-  const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
-  {
-    PrecompiledGuard guard(speeds, compiled);
-    result = partition_with_hint(speeds, n, policy, fp);
-  }
+  // Miss: compile once here and solve on that model. A near-miss
+  // (fingerprint seen before under a different n) warm-starts from the
+  // remembered slope.
+  result = partition_with_hint(CompiledSpeedList::compile(speeds), n, policy);
   if (cache_.insert(key, result)) metrics_.evictions.add(1);
   return result;
 }

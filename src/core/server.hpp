@@ -214,8 +214,8 @@ class PartitionServer {
   /// cache hit returns the stored result verbatim (the key is computed via
   /// the allocation-free fingerprint, no compilation: one walk over the
   /// models); a miss compiles the model once (the second and last walk),
-  /// computes via core::partition() under a PrecompiledGuard (so the
-  /// engine reuses the compilation), and stores. With warm_start on
+  /// passes that model to core::partition() (the engine does not walk the
+  /// models again), and stores. With warm_start on
   /// (the default), misses whose fingerprint was solved before — near-miss
   /// traffic: same models, nearby n — carry the remembered slope into the
   /// engine as a PartitionHint, which narrows the search without changing
@@ -379,11 +379,12 @@ class PartitionServer {
   /// results whose final_slope does not describe the full problem).
   void update_hint(std::uint64_t fingerprint, std::int64_t n,
                    const PartitionResult& result);
-  /// Runs the engine under `guard` semantics with the per-fingerprint hint
-  /// installed (when warm-starting is on) and refreshes the hint after.
-  PartitionResult partition_with_hint(const SpeedList& speeds, std::int64_t n,
-                                      const PartitionPolicy& policy,
-                                      std::uint64_t fingerprint);
+  /// Runs the engine on the request's compiled model with the
+  /// per-fingerprint hint installed (when warm-starting is on) and
+  /// refreshes the hint after.
+  PartitionResult partition_with_hint(const CompiledSpeedList& models,
+                                      std::int64_t n,
+                                      const PartitionPolicy& policy);
 
   /// Shared bookkeeping for an SLO answer: latency, deadline verdict, the
   /// outcome counters, and the estimator sample (full solves only).

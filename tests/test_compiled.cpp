@@ -1,8 +1,9 @@
 // Equivalence tests for the compiled speed-model layer (core/compiled.*):
 // bit-identical speed() / intersect() per family, closed-form intersections
-// against the generic bisection, bit-identical distributions and stats for
-// every registry algorithm with the compiled path toggled on and off,
-// content-hash fingerprint semantics (every single-word change and every
+// against the generic bisection, every search decision of every registry
+// algorithm replayed on the virtual SpeedFunction helpers, partition() on a
+// compiled model against the SpeedList overload, content-hash fingerprint
+// semantics (every single-word change and every
 // swap changes the hash, Generic entries keyed by a never-reused object id),
 // and the exact-type classification of a mixed wrapped fleet.
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 
 namespace fpm {
 namespace {
@@ -36,19 +38,6 @@ class ScalarKernelsGuard {
     core::set_simd_kernels(false);
   }
   ~ScalarKernelsGuard() { core::set_simd_kernels(old_); }
-
- private:
-  bool old_;
-};
-
-/// RAII guard flipping the process-wide compiled-partitioning switch.
-class CompiledToggle {
- public:
-  explicit CompiledToggle(bool enabled)
-      : old_(core::compiled_partitioning_enabled()) {
-    core::set_compiled_partitioning(enabled);
-  }
-  ~CompiledToggle() { core::set_compiled_partitioning(old_); }
 
  private:
   bool old_;
@@ -173,38 +162,72 @@ TEST(Compiled, ExpDecayClosedFormMatchesBisection) {
   }
 }
 
-TEST(Compiled, AllAlgorithmsBitIdenticalAcrossToggle) {
+/// Candidate integers strictly above the steep line and at or below the
+/// shallow one, summed over processors (SearchStep::interior).
+std::int64_t interior_of(const std::vector<double>& small,
+                         const std::vector<double>& large) {
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < small.size(); ++i)
+    if (large[i] > small[i])
+      total += static_cast<std::int64_t>(std::floor(large[i])) -
+               static_cast<std::int64_t>(std::floor(small[i]));
+  return total;
+}
+
+TEST(Compiled, EverySearchDecisionReplaysOnTheVirtualHelpers) {
+  // The engine runs on compiled models only. Replay each recorded search
+  // on the virtual SpeedFunction helpers of core/partition.hpp: the
+  // bracket, every line's keep-low decision, every modified step's slope
+  // and the final fine-tune must be the ones those helpers give, bit for
+  // bit in scalar mode.
   ScalarKernelsGuard scalar;
-  std::vector<test::Ensemble> ensembles = equivalence_ensembles();
-  for (const test::Ensemble& e : ensembles) {
+  for (const test::Ensemble& e : equivalence_ensembles()) {
     const core::SpeedList list = e.list();
     for (const std::string& alg : core::partitioner_registry().ids()) {
-      core::PartitionPolicy policy;
-      policy.algorithm = alg;
       for (const std::int64_t n : {1000LL, 1000000LL}) {
-        core::PartitionResult on, off;
-        {
-          CompiledToggle guard(true);
-          on = core::partition(list, n, policy);
+        SCOPED_TRACE(e.name + " " + alg + " n=" + std::to_string(n));
+        std::vector<core::SearchStep> steps;
+        core::PartitionPolicy policy;
+        policy.algorithm = alg;
+        policy.observer = [&steps](const core::SearchStep& s) {
+          steps.push_back(s);
+        };
+        const core::PartitionResult r = core::partition(list, n, policy);
+        ASSERT_FALSE(steps.empty());
+        // One bracket: bounded never clamps under its default bounds here,
+        // so its single round is the combined search over the whole list.
+        ASSERT_EQ(std::count_if(steps.begin(), steps.end(),
+                                [](const core::SearchStep& s) {
+                                  return s.kind == core::SearchStepKind::Bracket;
+                                }),
+                  1);
+        const core::SlopeBracket br = core::detect_bracket(list, n);
+        ASSERT_EQ(steps[0].kind, core::SearchStepKind::Bracket);
+        EXPECT_EQ(steps[0].lo_slope, br.lo_slope);
+        EXPECT_EQ(steps[0].hi_slope, br.hi_slope);
+        double lo = br.lo_slope, hi = br.hi_slope;
+        std::vector<double> small = core::sizes_at(list, hi);
+        std::vector<double> large = core::sizes_at(list, lo);
+        EXPECT_EQ(steps[0].interior, interior_of(small, large));
+        for (std::size_t k = 1; k < steps.size(); ++k) {
+          const core::SearchStep& s = steps[k];
+          if (s.kind == core::SearchStepKind::Degenerate) continue;
+          if (s.kind == core::SearchStepKind::Modified) {
+            const double m = 0.5 * (small[s.processor] + large[s.processor]);
+            EXPECT_EQ(s.slope, list[s.processor]->speed(m) / m) << "step " << k;
+          }
+          const bool kept_low =
+              core::total_size_at(list, s.slope) < static_cast<double>(n);
+          EXPECT_EQ(s.kept_low, kept_low) << "step " << k;
+          (kept_low ? hi : lo) = s.slope;
+          (kept_low ? small : large) = core::sizes_at(list, s.slope);
+          EXPECT_EQ(s.lo_slope, lo) << "step " << k;
+          EXPECT_EQ(s.hi_slope, hi) << "step " << k;
+          EXPECT_EQ(s.interior, interior_of(small, large)) << "step " << k;
         }
-        {
-          CompiledToggle guard(false);
-          off = core::partition(list, n, policy);
-        }
-        EXPECT_EQ(on.distribution.counts, off.distribution.counts)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.iterations, off.stats.iterations)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.intersections, off.stats.intersections)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.final_slope, off.stats.final_slope)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.speed_evals, off.stats.speed_evals)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.intersect_solves, off.stats.intersect_solves)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.switched_to_modified, off.stats.switched_to_modified)
-            << e.name << " " << alg << " n=" << n;
+        EXPECT_EQ(r.stats.final_slope, hi);
+        EXPECT_EQ(r.distribution.counts,
+                  core::fine_tune(list, n, core::sizes_at(list, hi)).counts);
       }
     }
   }
@@ -595,41 +618,38 @@ TEST(Compiled, ClassificationOfMixedWrappedFleetMatchesFrozenTable) {
   EXPECT_EQ(CompiledSpeedList::fingerprint_of(w.list), compiled.fingerprint());
 }
 
-TEST(Compiled, PrecompiledGuardReusesTheInstalledModel) {
+TEST(Compiled, PartitionOnACompiledModelMatchesTheListOverload) {
+  // The server's miss path compiles once and hands that model to the
+  // engine: same answer and stats as partition(list), and no further walk
+  // over the models.
+  const obs::Counter& walks =
+      obs::metrics().counter(obs::names::kCompiledClassifyWalks);
   const test::Ensemble e = test::mixed_ensemble();
   const core::SpeedList list = e.list();
-  const core::PartitionResult plain = core::partition(list, 123456);
   const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
-  {
-    core::PrecompiledGuard guard(list, compiled);
-    EXPECT_EQ(core::precompiled_match(list), &compiled);
-    // An element-wise equal copy of the list matches too (the server's
-    // BatchRequest copies the pointer vector).
-    const core::SpeedList copy = list;
-    EXPECT_EQ(core::precompiled_match(copy), &compiled);
-    // A different list (e.g. a hierarchy sub-list) must not match.
-    core::SpeedList sub(list.begin(), list.begin() + 2);
-    EXPECT_EQ(core::precompiled_match(sub), nullptr);
-    // Partitioning under the guard is bit-identical to compiling inline.
-    const core::PartitionResult guarded = core::partition(list, 123456);
-    EXPECT_EQ(guarded.distribution.counts, plain.distribution.counts);
-    EXPECT_EQ(guarded.stats.speed_evals, plain.stats.speed_evals);
-    EXPECT_EQ(guarded.stats.intersect_solves, plain.stats.intersect_solves);
+  for (const std::string& alg : core::partitioner_registry().ids()) {
+    SCOPED_TRACE(alg);
+    core::PartitionPolicy policy;
+    policy.algorithm = alg;
+    const core::PartitionResult plain = core::partition(list, 123456, policy);
+    const std::int64_t before = walks.value();
+    const core::PartitionResult r = core::partition(compiled, 123456, policy);
+    EXPECT_EQ(walks.value() - before, 0);
+    EXPECT_EQ(r.distribution.counts, plain.distribution.counts);
+    EXPECT_EQ(r.stats.iterations, plain.stats.iterations);
+    EXPECT_EQ(r.stats.intersections, plain.stats.intersections);
+    EXPECT_EQ(r.stats.final_slope, plain.stats.final_slope);
+    EXPECT_EQ(r.stats.algorithm, plain.stats.algorithm);
+    EXPECT_EQ(r.stats.switched_to_modified, plain.stats.switched_to_modified);
+    EXPECT_EQ(r.stats.speed_evals, plain.stats.speed_evals);
+    EXPECT_EQ(r.stats.intersect_solves, plain.stats.intersect_solves);
+    EXPECT_EQ(r.stats.warmstart, plain.stats.warmstart);
+    EXPECT_EQ(r.stats.iterations_saved, plain.stats.iterations_saved);
+    EXPECT_EQ(r.stats.search_speed_evals, plain.stats.search_speed_evals);
+    EXPECT_EQ(r.stats.search_intersect_solves,
+              plain.stats.search_intersect_solves);
+    EXPECT_EQ(r.stats.bracket_saturations, plain.stats.bracket_saturations);
   }
-  EXPECT_EQ(core::precompiled_match(list), nullptr);  // guard restored
-}
-
-TEST(Compiled, CompiledEntryViewCountsAtTheBoundary) {
-  const test::Ensemble e = test::power_ensemble(3);
-  const core::SpeedList list = e.list();
-  const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
-  core::EvalCounters counters;
-  core::CompiledEntryView view(compiled, 1, &counters);
-  EXPECT_EQ(view.speed(1e6), list[1]->speed(1e6));
-  EXPECT_EQ(view.max_size(), list[1]->max_size());
-  EXPECT_EQ(view.intersect(1e-3), list[1]->intersect(1e-3));
-  EXPECT_EQ(counters.speed_evals, 1);
-  EXPECT_EQ(counters.intersect_solves, 1);
 }
 
 }  // namespace

@@ -252,9 +252,9 @@ TEST(PartitionServer, ServeReportsIntoTheMetricsRegistry) {
 }
 
 TEST(PartitionServer, CacheHitIsBitIdenticalToPrecompiledMiss) {
-  // The miss path now computes under a PrecompiledGuard (the server's
-  // once-per-request compilation); hits and direct partition() calls must
-  // still agree bit for bit.
+  // The miss path solves on the model the server compiled once for the
+  // request; hits and direct partition() calls must still agree bit for
+  // bit.
   const test::Ensemble e = test::mixed_ensemble();
   const core::SpeedList list = e.list();
   const core::PartitionResult direct = core::partition(list, 123457);

@@ -102,6 +102,17 @@ TEST(FineTune, RejectsSizeMismatch) {
                std::invalid_argument);
 }
 
+TEST(FineTune, RejectsNegativeN) {
+  // A negative n would ask the shed phase to remove more elements than the
+  // seed holds.
+  const auto e = fpm::test::constant_ensemble(2);
+  const SpeedList speeds = e.list();
+  const std::vector<double> seed{0.0, 0.0};
+  EXPECT_THROW(fine_tune(speeds, -3, seed), std::invalid_argument);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
+  EXPECT_THROW(fine_tune(compiled, -3, seed, nullptr), std::invalid_argument);
+}
+
 TEST(FineTune, GreedyCompletionIsOptimalFromConsistentSeed) {
   // Property (DESIGN.md §5): starting from the floors of a line with sum
   // <= n, the greedy completion reaches the global optimal makespan.

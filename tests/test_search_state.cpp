@@ -1,7 +1,8 @@
-// Unit tests for the internal bracketing-search layer shared by the three
-// partitioning algorithms (core/detail/search_state): bracket invariants,
-// interior-candidate counting, convergence detection, and the semantics of
-// one basic and one modified step.
+// Unit tests for the internal bracketing-search layer shared by the four
+// search algorithms (core/detail/search_state): bracket invariants,
+// interior-candidate counting (saturating far beyond any integer size),
+// convergence detection, and the semantics of one basic and one modified
+// step.
 #include <gtest/gtest.h>
 
 #include "core/detail/search_state.hpp"
@@ -13,7 +14,8 @@ namespace {
 TEST(SearchState, InitialBracketStraddlesN) {
   const auto e = fpm::test::power_ensemble(4);
   const std::int64_t n = 1000000;
-  SearchState state(e.list(), n);
+  const CompiledSpeedList models = CompiledSpeedList::compile(e.list());
+  SearchState state(models, n);
   double small_sum = 0.0, large_sum = 0.0;
   for (const double x : state.small()) small_sum += x;
   for (const double x : state.large()) large_sum += x;
@@ -26,7 +28,8 @@ TEST(SearchState, InitialBracketStraddlesN) {
 
 TEST(SearchState, InteriorCountsMatchBrackets) {
   const auto e = fpm::test::linear_ensemble(3);
-  SearchState state(e.list(), 100000);
+  const CompiledSpeedList models = CompiledSpeedList::compile(e.list());
+  SearchState state(models, 100000);
   for (std::size_t i = 0; i < 3; ++i) {
     const double lo = state.small()[i];
     const double hi = state.large()[i];
@@ -45,7 +48,8 @@ TEST(SearchState, InteriorCountsMatchBrackets) {
 
 TEST(SearchState, StepsShrinkTheBracket) {
   const auto e = fpm::test::unimodal_ensemble(4);
-  SearchState state(e.list(), 500000);
+  const CompiledSpeedList models = CompiledSpeedList::compile(e.list());
+  SearchState state(models, 500000);
   const double width0 = state.hi_slope() - state.lo_slope();
   state.step_basic(true);
   const double width1 = state.hi_slope() - state.lo_slope();
@@ -60,7 +64,8 @@ TEST(SearchState, StepsShrinkTheBracket) {
 TEST(SearchState, StepPreservesBracketInvariant) {
   const auto e = fpm::test::stepped_ensemble(5);
   const std::int64_t n = 3000000;
-  SearchState state(e.list(), n);
+  const CompiledSpeedList models = CompiledSpeedList::compile(e.list());
+  SearchState state(models, n);
   for (int it = 0; it < 30 && !state.converged(); ++it) {
     if (it % 2 == 0)
       state.step_basic(false);
@@ -77,7 +82,8 @@ TEST(SearchState, StepPreservesBracketInvariant) {
 
 TEST(SearchState, ConvergedMeansNoInteriorIntegers) {
   const auto e = fpm::test::power_ensemble(3);
-  SearchState state(e.list(), 250000);
+  const CompiledSpeedList models = CompiledSpeedList::compile(e.list());
+  SearchState state(models, 250000);
   int guard = 0;
   while (!state.converged() && ++guard < 10000) state.step_basic(true);
   ASSERT_TRUE(state.converged());
@@ -94,7 +100,8 @@ TEST(SearchState, ConvergedMeansNoInteriorIntegers) {
 
 TEST(SearchState, ModifiedStepHalvesTheChosenGraphsCandidates) {
   const auto e = fpm::test::linear_ensemble(2);
-  SearchState state(e.list(), 777777);
+  const CompiledSpeedList models = CompiledSpeedList::compile(e.list());
+  SearchState state(models, 777777);
   // Find the graph with the most candidates, take one modified step, and
   // verify its candidate count dropped to about half.
   std::size_t target = state.interior_count(0) >= state.interior_count(1) ? 0 : 1;
@@ -107,12 +114,34 @@ TEST(SearchState, ModifiedStepHalvesTheChosenGraphsCandidates) {
 
 TEST(SearchState, SingleProcessorConvergesImmediatelyOrFast) {
   const auto e = fpm::test::constant_ensemble(1);
-  SearchState state(e.list(), 12345);
+  const CompiledSpeedList models = CompiledSpeedList::compile(e.list());
+  SearchState state(models, 12345);
   int guard = 0;
   while (!state.converged() && ++guard < 100) state.step_basic(true);
   EXPECT_TRUE(state.converged());
   // The single bracket must pin x near n.
   EXPECT_NEAR(state.small()[0], 12345.0, 1.0);
+}
+
+TEST(SearchState, InteriorCountsSaturateOnLinesBeyondAnyIntegerSize) {
+  // One processor a million times faster than the other: the cold
+  // bracket's shallow line puts the fast one's intersection near 5e20,
+  // beyond what an int64 floor can hold.
+  const ConstantSpeed fast(1e12, 1e6);
+  const ConstantSpeed slow(1.0, 1e6);
+  const SpeedList list{&fast, &slow};
+  const std::int64_t n = 1'000'000'000;
+  const CompiledSpeedList models = CompiledSpeedList::compile(list);
+  SearchState state(models, n);
+  ASSERT_GT(state.large()[0], 0x1p63);
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    EXPECT_GE(state.interior_count(i), 0) << i;
+    EXPECT_GE(state.total_interior(), state.interior_count(i)) << i;
+  }
+  const PartitionResult r = partition_combined(list, n);
+  EXPECT_EQ(r.distribution.total(), n);
+  EXPECT_EQ(makespan(list, r.distribution),
+            makespan(list, exact_optimum(list, n)));
 }
 
 }  // namespace

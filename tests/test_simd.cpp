@@ -338,11 +338,12 @@ TEST(Simd, SearchStateSnapshotsSaturationTally) {
       std::make_shared<OpaqueConstantSpeed>(50.0, 1.0)};
   core::SpeedList list;
   for (const auto& f : owned) list.push_back(f.get());
-  core::detail::SearchState state(list, 1000);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+  core::detail::SearchState state(compiled, 1000);
   EXPECT_EQ(state.bracket_saturations(), 0);
-  // A follow-up solve under the same counters (the fine-tuning pattern)
-  // that saturates must be visible in the snapshot delta.
-  state.counted_speeds()[0]->intersect(1e-80);
+  // A follow-up solve on the search's model (the fine-tuning pattern) that
+  // saturates must be visible in the snapshot delta.
+  compiled.intersect(0, 1e-80);
   EXPECT_EQ(state.bracket_saturations(), 1);
 }
 
@@ -560,8 +561,9 @@ TEST(Simd, SpeedsAtMatchesPerEntrySpeeds) {
 
 TEST(Simd, SizesAtBitIdenticalPerAlgorithmSlopesInScalarMode) {
   // One registry-algorithm solve per family mix, then replay its final
-  // slope through sizes_at in batched and per-entry form: with the scalar
-  // kernels the two must agree bit for bit for every algorithm.
+  // slope through sizes_at (one batched sweep) and through a per-entry
+  // intersect loop: with the scalar kernels the two must agree bit for bit
+  // for every algorithm.
   const core::SyntheticFleet fleet = core::make_synthetic_fleet(128, 29);
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
@@ -574,9 +576,9 @@ TEST(Simd, SizesAtBitIdenticalPerAlgorithmSlopesInScalarMode) {
     const double slope = r.stats.final_slope;
     if (!(slope > 0.0)) continue;  // bounded may finish outside the bracket
     const std::vector<double> batched = core::sizes_at(c, slope, nullptr);
-    core::set_batched_kernels(false);
-    const std::vector<double> per_entry = core::sizes_at(c, slope, nullptr);
-    core::set_batched_kernels(true);
+    std::vector<double> per_entry(c.size());
+    for (std::size_t i = 0; i < c.size(); ++i)
+      per_entry[i] = c.intersect(i, slope);
     EXPECT_EQ(batched, per_entry) << info.id;
   }
 }

@@ -461,6 +461,21 @@ TEST(ServeWalks, EachRequestWalksItsModelsAtMostTwice) {
       << "serve_slo() rejected at admission, degraded";
   EXPECT_EQ(degraded.status, core::ServeStatus::Degraded);
   expect_invariant(server);
+
+  // Caching off: the request is compiled once and solved on that model.
+  core::PartitionServer uncached({.threads = 1, .cache_capacity = 0});
+  EXPECT_EQ(walks_of([&] { (void)uncached.serve(list, 205000); }), 1)
+      << "serve() with cache_capacity = 0";
+  // bounded whose bounds never bind: its only round reuses the request's
+  // compiled model.
+  core::PartitionPolicy bounded;
+  bounded.algorithm = core::kAlgorithmBounded;
+  const core::PartitionResult unbound = core::partition(list, 206000, bounded);
+  for (std::size_t i = 0; i < list.size(); ++i)
+    ASSERT_LT(unbound.distribution.counts[i],
+              static_cast<std::int64_t>(std::ceil(list[i]->max_size())));
+  EXPECT_LE(walks_of([&] { (void)server.serve(list, 206000, bounded); }), 2)
+      << "serve() bounded miss";
 }
 
 // ---------------------------------------------------------------------------

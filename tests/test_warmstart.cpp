@@ -3,7 +3,7 @@
 // across drifting n, perturbed models, and deliberately wrong hints; the
 // hit/stale classification and its metrics; the cost advantage of a good
 // hint; the server's per-fingerprint hint store; and the batched SoA
-// kernel toggle.
+// sweep against per-entry intersects on every line a search draws.
 //
 // The constant ensemble is deliberately absent from the hint sweeps: with
 // piecewise-constant speeds the optimum can land exactly on an integer, and
@@ -249,33 +249,44 @@ TEST(WarmStart, CallerSuppliedHintWinsOverTheServerStore) {
             partition(speeds, 300'021).distribution.counts);
 }
 
-TEST(WarmStart, BatchedKernelToggleIsBitIdentical) {
+TEST(WarmStart, BatchedSweepsMatchPerEntryIntersectsOnEverySearchLine) {
   constexpr std::int64_t kN = 1'000'003;
-  ASSERT_TRUE(batched_kernels_enabled());
   // Scalar batch mode: the SIMD lanes are only ULP-equivalent (the
   // equivalence gate lives in tests/test_simd.cpp); this test pins the
-  // batched-vs-per-entry bit-identity contract of the scalar kernels.
+  // batched-vs-per-entry bit-identity contract of the scalar kernels on
+  // every line each registry algorithm evaluates.
   const bool simd_was = simd_kernels_enabled();
   set_simd_kernels(false);
   std::vector<Ensemble> ensembles = fpm::test::all_ensembles(6);
   ensembles.push_back(fpm::test::mixed_ensemble());
   for (const Ensemble& e : ensembles) {
     const SpeedList speeds = e.list();
+    const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
     for (const std::string& id : partitioner_registry().ids()) {
+      SCOPED_TRACE(e.name + " " + id);
+      std::vector<double> slopes;
       PartitionPolicy policy;
       policy.algorithm = id;
-      const PartitionResult batched = partition(speeds, kN, policy);
-      set_batched_kernels(false);
-      const PartitionResult scalar = partition(speeds, kN, policy);
-      set_batched_kernels(true);
-      EXPECT_EQ(batched.distribution.counts, scalar.distribution.counts)
-          << e.name << " " << id;
-      EXPECT_EQ(batched.stats.iterations, scalar.stats.iterations)
-          << e.name << " " << id;
-      EXPECT_EQ(batched.stats.speed_evals, scalar.stats.speed_evals)
-          << e.name << " " << id;
-      EXPECT_EQ(batched.stats.final_slope, scalar.stats.final_slope)
-          << e.name << " " << id;
+      policy.observer = [&slopes](const SearchStep& s) {
+        if (s.kind == SearchStepKind::Bracket) {
+          slopes.push_back(s.lo_slope);
+          slopes.push_back(s.hi_slope);
+        } else if (s.kind != SearchStepKind::Degenerate) {
+          slopes.push_back(s.slope);
+        }
+      };
+      (void)partition(compiled, kN, policy);
+      ASSERT_GT(slopes.size(), 2u);
+      for (const double slope : slopes) {
+        std::vector<double> per_entry(compiled.size());
+        double total = 0.0;
+        for (std::size_t i = 0; i < compiled.size(); ++i) {
+          per_entry[i] = compiled.intersect(i, slope);
+          total += per_entry[i];
+        }
+        EXPECT_EQ(sizes_at(compiled, slope, nullptr), per_entry) << slope;
+        EXPECT_EQ(total_size_at(compiled, slope, nullptr), total) << slope;
+      }
     }
   }
   set_simd_kernels(simd_was);
