@@ -373,7 +373,8 @@ int main(int argc, char** argv) {
 
   // Seed the hint store (and the result cache) with one exact solve per
   // fingerprint, so degradation has a previous solution to rescale from
-  // the first overloaded second. serve() is not SLO-accounted.
+  // the first overloaded second. These serve() calls count in slo_stats()
+  // (and train the estimator); every phase reports deltas past them.
   for (const Workload& w : workloads) (void)server.serve(w.list, w.base_n);
 
   // Closed-loop calibration: mean service time of a cache-missing solve.

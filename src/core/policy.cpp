@@ -1,5 +1,6 @@
 #include "core/policy.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -126,6 +127,12 @@ double parse_double(const std::string& key, const std::string& value) {
     throw std::invalid_argument("parse_policy: key '" + key +
                                 "' expects a number, got '" + value + "'");
   }
+}
+
+/// The shortest text that parse_double() reads back as exactly `v`.
+std::string format_double(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 [[noreturn]] void throw_unknown_key(const std::string& algorithm,
@@ -316,7 +323,7 @@ std::string format_policy(const PartitionPolicy& policy) {
                  std::get_if<InterpolationOptions>(&policy.options)) {
     const InterpolationOptions defaults;
     if (interp->safeguard_margin != defaults.safeguard_margin)
-      out << " safeguard_margin " << interp->safeguard_margin;
+      out << " safeguard_margin " << format_double(interp->safeguard_margin);
     if (interp->max_iterations != defaults.max_iterations)
       out << " max_iterations " << interp->max_iterations;
   } else if (const auto* bounded =

@@ -131,7 +131,9 @@ PartitionPolicy parse_policy(std::string_view algorithm,
                              std::span<const std::string> tokens = {});
 
 /// Inverse of parse_policy: the id followed by the keys that differ from
-/// the algorithm's defaults (round-trips through parse_policy).
+/// the algorithm's defaults (round-trips through parse_policy exactly:
+/// floating-point values print in their shortest round-trip form, so
+/// policies one ULP apart format, and cache-key, differently).
 std::string format_policy(const PartitionPolicy& policy);
 
 }  // namespace fpm::core

@@ -10,15 +10,38 @@
 namespace fpm::core {
 namespace {
 
+/// Both LRU maps (results and hints) split into this many locked shards.
+constexpr std::size_t kShards = 16;
+
+using Clock = std::chrono::steady_clock;
+
 void append_hex64(std::string& out, std::uint64_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
   for (int shift = 60; shift >= 0; shift -= 4)
     out.push_back(kDigits[(v >> shift) & 0xf]);
 }
 
-double seconds_between(std::chrono::steady_clock::time_point from,
-                       std::chrono::steady_clock::time_point to) {
+double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
+}
+
+/// `from + budget`, saturating at time_point::max() instead of
+/// overflowing the clock.
+Clock::time_point saturating_add(Clock::time_point from,
+                                 Clock::duration budget) {
+  constexpr Clock::time_point kNever = Clock::time_point::max();
+  return budget < kNever - from ? from + budget : kNever;
+}
+
+/// `slo`'s deadline for a request submitted at `submitted`:
+/// time_point::max() when it has none, or when the budget does not fit the
+/// clock (above ~9.2e9 s of nanoseconds, or infinite).
+Clock::time_point deadline_after(Clock::time_point submitted, const Slo& slo) {
+  const double budget_ns = slo.deadline_s * 1e9;
+  if (!slo.has_deadline() || !(budget_ns < 0x1p63))
+    return Clock::time_point::max();
+  return saturating_add(submitted,
+                        Clock::duration(static_cast<Clock::rep>(budget_ns)));
 }
 
 }  // namespace
@@ -26,14 +49,6 @@ double seconds_between(std::chrono::steady_clock::time_point from,
 // ---------------------------------------------------------------------------
 // PartitionCache
 // ---------------------------------------------------------------------------
-
-PartitionCache::PartitionCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity), shards_(std::max<std::size_t>(1, shards)) {
-  // Ceiling division so the shard sum never undercuts the requested total;
-  // a zero capacity keeps every shard empty (lookups all miss).
-  per_shard_capacity_ =
-      capacity_ == 0 ? 0 : (capacity_ + shards_.size() - 1) / shards_.size();
-}
 
 std::string PartitionCache::make_key(const SpeedList& speeds, std::int64_t n,
                                      const PartitionPolicy& policy) {
@@ -58,73 +73,31 @@ std::string PartitionCache::make_key(std::uint64_t fingerprint, std::int64_t n,
   return key;
 }
 
-PartitionCache::Shard& PartitionCache::shard_for(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-bool PartitionCache::find(const std::string& key, PartitionResult& out,
-                          bool count_miss) {
-  Shard& sh = shard_for(key);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.index.find(key);
-  if (it == sh.index.end()) {
-    if (count_miss) ++sh.misses;
-    return false;
-  }
-  sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // move to front (MRU)
-  ++sh.hits;
-  out = it->second->second;
-  return true;
-}
-
 bool PartitionCache::lookup(const std::string& key, PartitionResult& out) {
-  return find(key, out, /*count_miss=*/true);
-}
-
-bool PartitionCache::peek(const std::string& key, PartitionResult& out) {
-  return find(key, out, /*count_miss=*/false);
+  if (!lru_.find(key, [&out](const PartitionResult& stored) {
+        out = stored;
+        return true;
+      }))
+    return false;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 bool PartitionCache::insert(const std::string& key,
                             const PartitionResult& value) {
-  if (per_shard_capacity_ == 0) return false;
-  Shard& sh = shard_for(key);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.index.find(key);
-  if (it != sh.index.end()) {
-    // A concurrent miss on the same key already computed and stored the
-    // (identical) result; refresh recency and keep the incumbent.
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-    return false;
-  }
-  sh.lru.emplace_front(key, value);
-  sh.index.emplace(key, sh.lru.begin());
-  if (sh.lru.size() > per_shard_capacity_) {
-    sh.index.erase(sh.lru.back().first);
-    sh.lru.pop_back();
-    ++sh.evictions;
-    return true;
-  }
-  return false;
-}
-
-void PartitionCache::clear() {
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    sh.lru.clear();
-    sh.index.clear();
-  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  // A concurrent miss on the same key may have stored the (identical)
+  // result first; put() then refreshes its recency and keeps the incumbent.
+  return lru_.put(
+      key, [&value] { return value; }, [](const PartitionResult&) {});
 }
 
 CacheStats PartitionCache::stats() const {
   CacheStats s;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    s.hits += sh.hits;
-    s.misses += sh.misses;
-    s.evictions += sh.evictions;
-    s.entries += sh.lru.size();
-  }
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
+  s.evictions = lru_.evictions();
+  s.entries = lru_.size();
   return s;
 }
 
@@ -136,7 +109,7 @@ PartitionServer::PartitionServer(ServerOptions options)
     : threads_(options.threads != 0
                    ? options.threads
                    : std::max(1u, std::thread::hardware_concurrency())),
-      cache_(options.cache_capacity, options.cache_shards),
+      cache_(options.cache_capacity, kShards),
       metrics_{
           obs::metrics().histogram(obs::names::kServerServeLatency),
           obs::metrics().gauge(obs::names::kServerQueueDepth),
@@ -155,14 +128,8 @@ PartitionServer::PartitionServer(ServerOptions options)
           obs::metrics().counter(obs::names::kServerSloDeadlineMisses),
           obs::metrics().gauge(obs::names::kServerSloQueueDelayMicros)},
       warm_start_(options.warm_start),
-      hint_shard_capacity_(std::max<std::size_t>(
-          1, (std::max<std::size_t>(1, options.hint_capacity) +
-              hint_shards_.size() - 1) /
-                 hint_shards_.size())),
       max_queue_depth_(options.max_queue_depth),
-      admission_slack_(options.admission_slack > 0.0 ? options.admission_slack
-                                                     : 1.0),
-      estimator_(options.ewma_alpha) {
+      hints_(std::max<std::size_t>(1, options.hint_capacity), kShards) {
   workers_.reserve(threads_);
   for (unsigned i = 0; i < threads_; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -183,7 +150,7 @@ PartitionServer::~PartitionServer() {
     ServeResult outcome;
     outcome.status = ServeStatus::Shed;
     outcome.shed_reason = ShedReason::Shutdown;
-    account(outcome, job.submitted, job.deadline, job.request.slo.priority);
+    account(outcome, job.submitted, job.deadline);
     job.promise.set_value(std::move(outcome));
   }
   for (std::thread& t : workers_) t.join();
@@ -229,9 +196,7 @@ void PartitionServer::worker_loop() {
 }
 
 void PartitionServer::execute(QueuedJob job) {
-  const Priority priority = job.request.slo.priority;
-  const Clock::time_point start = Clock::now();
-  if (start >= job.deadline) {
+  if (Clock::now() >= job.deadline) {
     // The deadline passed while the request waited in the queue; do not
     // spend a solve that is already late.
     degrade_or_shed(std::move(job), ShedReason::Expired);
@@ -239,20 +204,14 @@ void PartitionServer::execute(QueuedJob job) {
   }
   ServeResult outcome;
   try {
-    outcome.result = serve_keyed(job.request.speeds, job.request.n,
-                                 job.request.policy, job.fingerprint);
+    outcome = solve_admitted(job.request.speeds, job.request.n,
+                             job.request.policy, job.key,
+                             job.request.slo.priority, job.submitted,
+                             job.deadline);
   } catch (...) {
-    // Engine rejections (unknown algorithm id, invalid policy) are caller
-    // errors, not load: the request was admitted and the error surfaces
-    // through the future exactly as the synchronous API would throw it.
-    slo_admitted_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.slo_admitted.add(1);
     job.promise.set_exception(std::current_exception());
     return;
   }
-  estimator_.record(priority, seconds_between(start, Clock::now()));
-  outcome.status = ServeStatus::Ok;
-  account(outcome, job.submitted, job.deadline, priority);
   job.promise.set_value(std::move(outcome));
 }
 
@@ -261,7 +220,7 @@ void PartitionServer::execute(QueuedJob job) {
 // ---------------------------------------------------------------------------
 
 std::optional<ServeResult> PartitionServer::try_degrade(
-    const BatchRequest& request, KnownFingerprint fingerprint) {
+    const BatchRequest& request, const KnownKey& key) {
   if (request.speeds.empty() || request.n < 1) return std::nullopt;
   // Observers expect a real search (their callbacks must fire per step);
   // bounded policies carry capacity constraints a rescaled distribution
@@ -269,8 +228,8 @@ std::optional<ServeResult> PartitionServer::try_degrade(
   if (request.policy.observer) return std::nullopt;
   if (request.policy.algorithm == kAlgorithmBounded) return std::nullopt;
   const std::optional<SlopeHint> prev = lookup_degradation(
-      fingerprint ? *fingerprint
-                  : CompiledSpeedList::fingerprint_of(request.speeds),
+      key ? key->fingerprint
+          : CompiledSpeedList::fingerprint_of(request.speeds),
       request.speeds.size());
   if (!prev) return std::nullopt;
   std::optional<DegradedAnswer> answer =
@@ -286,10 +245,9 @@ std::optional<ServeResult> PartitionServer::try_degrade(
 
 ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
                                           ShedReason reason,
-                                          KnownFingerprint fingerprint) {
+                                          const KnownKey& key) {
   if (request.slo.allow_degraded) {
-    if (std::optional<ServeResult> degraded =
-            try_degrade(request, fingerprint)) {
+    if (std::optional<ServeResult> degraded = try_degrade(request, key)) {
       degraded->shed_reason = reason;  // what the approximation averted
       return *std::move(degraded);
     }
@@ -301,23 +259,22 @@ ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
 }
 
 void PartitionServer::degrade_or_shed(QueuedJob&& job, ShedReason reason) {
-  ServeResult outcome = resolve_shed(job.request, reason, job.fingerprint);
-  account(outcome, job.submitted, job.deadline, job.request.slo.priority);
+  ServeResult outcome = resolve_shed(job.request, reason, job.key);
+  account(outcome, job.submitted, job.deadline);
   job.promise.set_value(std::move(outcome));
 }
 
 void PartitionServer::account(ServeResult& outcome,
                               Clock::time_point submitted,
-                              Clock::time_point deadline, Priority priority) {
-  (void)priority;
+                              Clock::time_point deadline) {
   const Clock::time_point now = Clock::now();
   outcome.latency_s = seconds_between(submitted, now);
-  const bool had_deadline = deadline != Clock::time_point::max();
-  outcome.deadline_met = !had_deadline || now <= deadline;
+  outcome.deadline_met = now <= deadline;  // max() when there is none
   switch (outcome.status) {
     case ServeStatus::Ok:
       slo_admitted_.fetch_add(1, std::memory_order_relaxed);
       metrics_.slo_admitted.add(1);
+      metrics_.serve_latency.record(outcome.latency_s);
       break;
     case ServeStatus::Degraded:
       slo_degraded_.fetch_add(1, std::memory_order_relaxed);
@@ -357,29 +314,27 @@ void PartitionServer::account(ServeResult& outcome,
 
 std::optional<PartitionHint> PartitionServer::lookup_hint(
     std::uint64_t fingerprint) {
-  HintShard& sh = hint_shards_[fingerprint % hint_shards_.size()];
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.index.find(fingerprint);
-  if (it == sh.index.end()) return std::nullopt;
-  sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-  PartitionHint hint;
-  hint.slope = it->second->second.slope;
-  hint.n = it->second->second.n;
-  hint.fingerprint = fingerprint;
-  hint.baseline_iterations = it->second->second.baseline_iterations;
+  std::optional<PartitionHint> hint;
+  hints_.find(fingerprint, [&](const SlopeHint& stored) {
+    hint.emplace();
+    hint->slope = stored.slope;
+    hint->n = stored.n;
+    hint->fingerprint = fingerprint;
+    hint->baseline_iterations = stored.baseline_iterations;
+    return true;
+  });
   return hint;
 }
 
 std::optional<PartitionServer::SlopeHint> PartitionServer::lookup_degradation(
     std::uint64_t fingerprint, std::size_t p) {
-  HintShard& sh = hint_shards_[fingerprint % hint_shards_.size()];
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.index.find(fingerprint);
-  if (it == sh.index.end()) return std::nullopt;
-  const SlopeHint& hint = it->second->second;
-  if (hint.counts.size() != p) return std::nullopt;
-  sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-  return hint;
+  std::optional<SlopeHint> prev;
+  hints_.find(fingerprint, [&](const SlopeHint& stored) {
+    if (stored.counts.size() != p) return false;
+    prev = stored;
+    return true;
+  });
+  return prev;
 }
 
 void PartitionServer::update_hint(std::uint64_t fingerprint, std::int64_t n,
@@ -393,39 +348,22 @@ void PartitionServer::update_hint(std::uint64_t fingerprint, std::int64_t n,
   // clamped distribution is the wrong degradation source for unbounded
   // requests of the same models.
   if (result.stats.algorithm == kAlgorithmBounded) return;
-  HintShard& sh = hint_shards_[fingerprint % hint_shards_.size()];
-  std::size_t evicted = 0;
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    const auto it = sh.index.find(fingerprint);
-    if (it == sh.index.end()) {
-      sh.lru.emplace_front(
-          fingerprint,
-          SlopeHint{result.stats.final_slope, n, result.stats.iterations,
-                    result.distribution.counts});
-      sh.index.emplace(fingerprint, sh.lru.begin());
-      while (sh.lru.size() > hint_shard_capacity_) {
-        sh.index.erase(sh.lru.back().first);
-        sh.lru.pop_back();
-        ++evicted;
-      }
-    } else {
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-      SlopeHint& hint = it->second->second;
-      hint.slope = result.stats.final_slope;
-      hint.n = n;
-      hint.counts = result.distribution.counts;
-      // A warm run's low iteration count is not a cold baseline; keep the
-      // last cold figure so iterations_saved keeps measuring warm vs cold.
-      if (result.stats.warmstart != WarmStart::Hit)
-        hint.baseline_iterations = result.stats.iterations;
-    }
-  }
-  if (evicted > 0) {
-    hint_evictions_.fetch_add(static_cast<std::int64_t>(evicted),
-                              std::memory_order_relaxed);
-    metrics_.hint_evictions.add(static_cast<std::int64_t>(evicted));
-  }
+  const bool evicted = hints_.put(
+      fingerprint,
+      [&] {
+        return SlopeHint{result.stats.final_slope, n, result.stats.iterations,
+                         result.distribution.counts};
+      },
+      [&](SlopeHint& hint) {
+        hint.slope = result.stats.final_slope;
+        hint.n = n;
+        hint.counts = result.distribution.counts;
+        // A warm run's low iteration count is not a cold baseline; keep the
+        // last cold figure so iterations_saved keeps measuring warm vs cold.
+        if (result.stats.warmstart != WarmStart::Hit)
+          hint.baseline_iterations = result.stats.iterations;
+      });
+  if (evicted) metrics_.hint_evictions.add(1);
 }
 
 PartitionResult PartitionServer::partition_with_hint(
@@ -449,51 +387,69 @@ PartitionResult PartitionServer::partition_with_hint(
 // Entry points
 // ---------------------------------------------------------------------------
 
-PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
-                                       const PartitionPolicy& policy) {
-  return serve_keyed(speeds, n, policy, std::nullopt);
+std::optional<ServeResult> PartitionServer::probe(
+    const SpeedList& speeds, std::int64_t n, const PartitionPolicy& policy,
+    Clock::time_point submitted, Clock::time_point deadline, KnownKey& key) {
+  // An observer is a side effect the caller expects on every call: a
+  // cached answer would silently swallow the step trace. A disabled cache
+  // has nothing to find. Neither needs a key.
+  if (policy.observer || cache_.capacity() == 0) return std::nullopt;
+  // Key via the allocation-free fingerprint: a hit must not pay for a
+  // compilation it will never use.
+  const std::uint64_t fingerprint = CompiledSpeedList::fingerprint_of(speeds);
+  key = RequestKey{fingerprint,
+                   PartitionCache::make_key(fingerprint, n, policy)};
+  ServeResult outcome;
+  if (!cache_.lookup(key->text, outcome.result)) return std::nullopt;
+  metrics_.hits.add(1);
+  outcome.status = ServeStatus::Ok;
+  account(outcome, submitted, deadline);
+  return outcome;
 }
 
-PartitionResult PartitionServer::serve_keyed(const SpeedList& speeds,
-                                             std::int64_t n,
-                                             const PartitionPolicy& policy,
-                                             KnownFingerprint fingerprint) {
-  obs::TimerSpan span(metrics_.serve_latency);
-  if (policy.observer) {
-    // The observer is a side effect the caller expects on every call; a
-    // cached answer would silently swallow the step trace, and a hint would
-    // change the trace's bracket shape — run cold, leave hints alone.
+ServeResult PartitionServer::solve_admitted(
+    const SpeedList& speeds, std::int64_t n, const PartitionPolicy& policy,
+    const KnownKey& key, Priority priority, Clock::time_point submitted,
+    Clock::time_point deadline) {
+  const Clock::time_point start = Clock::now();
+  ServeResult outcome;
+  try {
+    // Observers run cold: a hint would change the trace's bracket shape.
+    // Everything else is compiled once here and solved on that model; a
+    // near miss (fingerprint seen before under a different n) warm-starts
+    // from the remembered slope.
+    outcome.result =
+        policy.observer
+            ? partition(speeds, n, policy)
+            : partition_with_hint(CompiledSpeedList::compile(speeds), n,
+                                  policy);
+  } catch (...) {
+    // Engine rejections (unknown algorithm id, invalid policy) are caller
+    // errors, not load: the request was admitted, and the error reaches the
+    // caller exactly as the engine threw it.
+    slo_admitted_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.slo_admitted.add(1);
+    throw;
+  }
+  if (key) {
+    metrics_.misses.add(1);
+    if (cache_.insert(key->text, outcome.result)) metrics_.evictions.add(1);
+  } else {
+    // Counted so that hits + misses + uncacheable matches the full
+    // answers. The slope hints are independent of result caching and stay
+    // live.
     uncacheable_.fetch_add(1, std::memory_order_relaxed);
     metrics_.uncacheable.add(1);
-    return partition(speeds, n, policy);
   }
-  if (cache_.capacity() == 0) {
-    // Caching disabled: still count the request (as uncacheable) so the
-    // hit-rate denominator hits + misses + uncacheable matches the request
-    // count, and still compile once: the engine solves on that model. The
-    // slope hints are independent of result caching and stay live.
-    uncacheable_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.uncacheable.add(1);
-    return partition_with_hint(CompiledSpeedList::compile(speeds), n, policy);
-  }
-  // Key via the allocation-free fingerprint (unless an earlier step of the
-  // request already computed it): a hit must not pay for a compilation it
-  // will never use.
-  const std::uint64_t fp =
-      fingerprint ? *fingerprint : CompiledSpeedList::fingerprint_of(speeds);
-  const std::string key = PartitionCache::make_key(fp, n, policy);
-  PartitionResult result;
-  if (cache_.lookup(key, result)) {
-    metrics_.hits.add(1);
-    return result;
-  }
-  metrics_.misses.add(1);
-  // Miss: compile once here and solve on that model. A near-miss
-  // (fingerprint seen before under a different n) warm-starts from the
-  // remembered slope.
-  result = partition_with_hint(CompiledSpeedList::compile(speeds), n, policy);
-  if (cache_.insert(key, result)) metrics_.evictions.add(1);
-  return result;
+  estimator_.record(priority, seconds_between(start, Clock::now()));
+  outcome.status = ServeStatus::Ok;
+  account(outcome, submitted, deadline);
+  return outcome;
+}
+
+PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
+                                       const PartitionPolicy& policy) {
+  return serve_slo(speeds, n, policy, Slo{}).result;
 }
 
 ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
@@ -501,96 +457,45 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
                                        const PartitionPolicy& policy,
                                        Slo slo) {
   const Clock::time_point submitted = Clock::now();
-  const Clock::time_point deadline =
-      slo.has_deadline()
-          ? submitted + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(slo.deadline_s))
-          : Clock::time_point::max();
+  const Clock::time_point deadline = deadline_after(submitted, slo);
   slo_offered_.fetch_add(1, std::memory_order_relaxed);
   metrics_.slo_offered.add(1);
 
-  KnownFingerprint fingerprint;
-  if (slo.has_deadline()) {
-    // A cache hit beats any deadline — probe before consulting the
-    // estimate (peek: the miss will be re-counted by serve() if admitted).
-    if (cache_.capacity() != 0 && !policy.observer) {
-      fingerprint = CompiledSpeedList::fingerprint_of(speeds);
-      const std::string key =
-          PartitionCache::make_key(*fingerprint, n, policy);
-      PartitionResult cached;
-      if (cache_.peek(key, cached)) {
-        metrics_.hits.add(1);
-        ServeResult outcome;
-        outcome.status = ServeStatus::Ok;
-        outcome.result = std::move(cached);
-        account(outcome, submitted, deadline, slo.priority);
-        return outcome;
-      }
-    }
-    const double predicted =
-        estimator_.service_estimate(slo.priority) * admission_slack_;
-    if (predicted > slo.deadline_s) {
-      // No queue here: the estimate alone rejected the request, and only
-      // admitted requests refresh it — decay it so it cannot lock in.
-      estimator_.decay(slo.priority);
-      ServeResult outcome = resolve_shed(BatchRequest{speeds, n, policy, slo},
-                                         ShedReason::Admission, fingerprint);
-      account(outcome, submitted, deadline, slo.priority);
-      return outcome;
-    }
+  KnownKey key;
+  // A cache hit beats any deadline.
+  if (std::optional<ServeResult> hit =
+          probe(speeds, n, policy, submitted, deadline, key))
+    return *std::move(hit);
+  if (slo.has_deadline() &&
+      estimator_.service_estimate(slo.priority) > slo.deadline_s) {
+    // No queue here: the estimate alone rejected the request, and only
+    // admitted requests refresh it — decay it so it cannot lock in.
+    estimator_.decay(slo.priority);
+    ServeResult outcome = resolve_shed(BatchRequest{speeds, n, policy, slo},
+                                       ShedReason::Admission, key);
+    account(outcome, submitted, deadline);
+    return outcome;
   }
-  const Clock::time_point start = Clock::now();
-  ServeResult outcome;
-  try {
-    outcome.result = serve_keyed(speeds, n, policy, fingerprint);
-  } catch (...) {
-    // Count the admitted request before the engine error propagates, so
-    // offered == admitted + degraded + shed survives caller errors.
-    slo_admitted_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.slo_admitted.add(1);
-    throw;
-  }
-  estimator_.record(slo.priority, seconds_between(start, Clock::now()));
-  outcome.status = ServeStatus::Ok;
-  account(outcome, submitted, deadline, slo.priority);
-  return outcome;
+  return solve_admitted(speeds, n, policy, key, slo.priority, submitted,
+                        deadline);
 }
 
 std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
-  const Clock::time_point submitted = Clock::now();
-  const Clock::time_point deadline =
-      request.slo.has_deadline()
-          ? submitted +
-                std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(request.slo.deadline_s))
-          : Clock::time_point::max();
+  QueuedJob job;
+  job.submitted = Clock::now();
+  job.deadline = deadline_after(job.submitted, request.slo);
+  job.request = std::move(request);
   slo_offered_.fetch_add(1, std::memory_order_relaxed);
   metrics_.slo_offered.add(1);
-
-  QueuedJob job;
-  job.request = std::move(request);
-  job.submitted = submitted;
-  job.deadline = deadline;
   std::future<ServeResult> future = job.promise.get_future();
   const Priority priority = job.request.slo.priority;
 
-  // Fast path: a cached answer is microseconds — serve it inline no matter
-  // the queue state. peek() so the miss is not double-counted (the worker's
-  // serve() will count it).
-  if (cache_.capacity() != 0 && !job.request.policy.observer) {
-    job.fingerprint = CompiledSpeedList::fingerprint_of(job.request.speeds);
-    const std::string key = PartitionCache::make_key(
-        *job.fingerprint, job.request.n, job.request.policy);
-    PartitionResult cached;
-    if (cache_.peek(key, cached)) {
-      metrics_.hits.add(1);
-      ServeResult outcome;
-      outcome.status = ServeStatus::Ok;
-      outcome.result = std::move(cached);
-      account(outcome, submitted, deadline, priority);
-      job.promise.set_value(std::move(outcome));
-      return future;
-    }
+  // A cached answer is microseconds: serve it inline whatever the queue.
+  if (std::optional<ServeResult> hit =
+          probe(job.request.speeds, job.request.n, job.request.policy,
+                job.submitted, job.deadline, job.key)) {
+    job.promise.set_value(*std::move(hit));
+    return future;
   }
 
   ShedReason reject = ShedReason::None;  // None = enqueued
@@ -610,8 +515,7 @@ std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
       wait_estimate = estimator_.queue_delay(priority, ahead, threads_);
       const double service = estimator_.service_estimate(priority);
       const double budget = job.request.slo.deadline_s;
-      if (job.request.slo.has_deadline() &&
-          (wait_estimate + service) * admission_slack_ > budget) {
+      if (job.request.slo.has_deadline() && wait_estimate + service > budget) {
         reject = ShedReason::Admission;
         // Only admitted requests refresh the service estimate, so one slow
         // sample above the deadline would otherwise reject every later
@@ -619,9 +523,10 @@ std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
         // decay it: after a few rejections a request gets through and
         // records a real sample. Rejections caused by the queue ahead leave
         // it alone — those queued jobs will supply fresh samples.
-        if (service * admission_slack_ > budget) estimator_.decay(priority);
+        if (service > budget) estimator_.decay(priority);
       } else {
-        const JobKey key{-static_cast<int>(priority), deadline, next_seq_++};
+        const JobKey key{-static_cast<int>(priority), job.deadline,
+                         next_seq_++};
         if (max_queue_depth_ != 0 && queue_.size() >= max_queue_depth_) {
           const auto worst = std::prev(queue_.end());
           if (key < worst->first) {
@@ -685,7 +590,7 @@ std::vector<ServeResult> PartitionServer::run_batch(
 }
 
 bool PartitionServer::drain(std::chrono::nanoseconds timeout) {
-  const Clock::time_point deadline = Clock::now() + timeout;
+  const Clock::time_point deadline = saturating_add(Clock::now(), timeout);
   {
     std::unique_lock<std::mutex> lock(queue_mu_);
     if (idle_cv_.wait_until(lock, deadline, [this] {
@@ -717,11 +622,8 @@ bool PartitionServer::drain(std::chrono::nanoseconds timeout) {
 CacheStats PartitionServer::cache_stats() const {
   CacheStats s = cache_.stats();
   s.uncacheable = uncacheable_.load(std::memory_order_relaxed);
-  for (const HintShard& sh : hint_shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    s.hint_entries += sh.lru.size();
-  }
-  s.hint_evictions = hint_evictions_.load(std::memory_order_relaxed);
+  s.hint_entries = hints_.size();
+  s.hint_evictions = hints_.evictions();
   return s;
 }
 

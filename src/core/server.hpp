@@ -24,12 +24,15 @@
 //     the previous distribution linearly rescaled to the requested n,
 //     tagged with a computed relative-error bound (core/slo.hpp) so the
 //     caller can decide whether to accept the approximation.
-// Every request submitted with an SLO ends in exactly one of three
-// buckets — admitted (full answer), degraded, or shed — so
+// Every request, whichever entry point received it, takes one path: a
+// cache probe, admission, then a full solve (or a degraded answer, or a
+// shed). It ends in exactly one of three buckets — admitted (full
+// answer), degraded, or shed — so
 //     offered == admitted + degraded + shed
 // holds at all times (slo_stats(), mirrored in obs::metrics()).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -72,8 +75,6 @@ struct ServerOptions {
   unsigned threads = 0;
   /// Total cached results across all shards; 0 disables caching.
   std::size_t cache_capacity = 4096;
-  /// Lock shards; more shards = less contention, slightly coarser LRU.
-  std::size_t cache_shards = 16;
   /// Keep a per-fingerprint slope hint beside the result cache and install
   /// it as a PartitionHint on cache misses, so near-miss traffic (same
   /// models, nearby n or different tuning) warm-starts instead of solving
@@ -90,14 +91,6 @@ struct ServerOptions {
   /// When the queue is full, a submission displaces the lowest-priority,
   /// latest-deadline request — which is degraded or shed.
   std::size_t max_queue_depth = 0;
-  /// EWMA weight of the newest service-time sample in the queue-delay
-  /// estimator (0 < alpha <= 1).
-  double ewma_alpha = 0.2;
-  /// Safety factor on the predicted completion time during admission; a
-  /// request is shed when predicted * admission_slack exceeds its budget.
-  /// > 1 sheds earlier (protects the deadline against estimate error),
-  /// < 1 gambles on the estimate being pessimistic.
-  double admission_slack = 1.0;
 };
 
 /// Aggregate cache counters (monotonic except `entries`/`hint_entries`).
@@ -108,7 +101,8 @@ struct CacheStats {
   /// Requests that bypassed the cache: observer-carrying policies (their
   /// step-trace side effects must fire on every call) and every request
   /// served with caching disabled (cache_capacity = 0). Counted so that
-  /// hits + misses + uncacheable always equals the serve() call count.
+  /// hits + misses + uncacheable always equals the number of full answers
+  /// (slo_stats().admitted, less requests the engine rejected).
   std::int64_t uncacheable = 0;
   std::size_t entries = 0;  ///< currently cached results
   /// Warm-start hint store occupancy and LRU evictions (bounded by
@@ -117,12 +111,11 @@ struct CacheStats {
   std::int64_t hint_evictions = 0;
 };
 
-/// SLO accounting for requests submitted through the deadline-aware entry
-/// points (submit/run_batch/serve_slo; the plain serve() overload has no
-/// SLO semantics and is not counted here). All monotonic.
+/// SLO accounting over every request of every entry point (serve() counts
+/// as a request with the default, never-shed Slo). All monotonic.
 /// Invariant: offered == admitted + degraded + shed.
 struct SloStats {
-  std::int64_t offered = 0;   ///< SLO requests received
+  std::int64_t offered = 0;   ///< requests received
   std::int64_t admitted = 0;  ///< answered in full by the engine (or cache)
   std::int64_t degraded = 0;  ///< answered approximately from the hint store
   std::int64_t shed = 0;      ///< not answered; the per-reason split below
@@ -136,28 +129,116 @@ struct SloStats {
   double queue_delay_estimate_s = 0.0;
 };
 
-/// Sharded, thread-safe LRU map from partition-request keys to results.
-/// Each shard is an independently locked list+index pair, so concurrent
-/// lookups of different keys rarely contend; eviction is LRU per shard.
+/// Thread-safe LRU map split into independently locked shards (a key's
+/// shard is its std::hash modulo the shard count), so concurrent requests
+/// for different keys rarely contend; eviction is LRU per shard. Each
+/// shard holds ceil(capacity / shards) entries (0: nothing is stored).
+template <class Key, class Value>
+class ShardedLru {
+ public:
+  ShardedLru(std::size_t capacity, std::size_t shards)
+      : shards_(std::max<std::size_t>(1, shards)) {
+    per_shard_ = (capacity + shards_.size() - 1) / shards_.size();
+  }
+
+  /// On a hit, passes the stored value to `use` under the shard lock; when
+  /// `use` returns true the entry becomes the shard's most recently used.
+  /// Returns what `use` returned (false on a miss).
+  template <class Use>
+  bool find(const Key& key, Use&& use) {
+    Shard& sh = shard_for(key);
+    std::lock_guard<std::mutex> lock(sh.mu);
+    const auto it = sh.index.find(key);
+    if (it == sh.index.end() || !use(it->second->second)) return false;
+    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+    return true;
+  }
+
+  /// Makes `key` its shard's most recently used entry: stores make() when
+  /// the key is absent, else passes the stored value to `refresh`. Evicts
+  /// the least recently used entry beyond capacity; returns true if it did.
+  template <class Make, class Refresh>
+  bool put(const Key& key, Make&& make, Refresh&& refresh) {
+    if (per_shard_ == 0) return false;
+    Shard& sh = shard_for(key);
+    std::lock_guard<std::mutex> lock(sh.mu);
+    const auto it = sh.index.find(key);
+    if (it != sh.index.end()) {
+      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+      refresh(it->second->second);
+      return false;
+    }
+    sh.lru.emplace_front(key, make());
+    sh.index.emplace(key, sh.lru.begin());
+    if (sh.lru.size() <= per_shard_) return false;
+    sh.index.erase(sh.lru.back().first);
+    sh.lru.pop_back();
+    ++sh.evictions;
+    return true;
+  }
+
+  void clear() {
+    for (Shard& sh : shards_) {
+      std::lock_guard<std::mutex> lock(sh.mu);
+      sh.lru.clear();
+      sh.index.clear();
+    }
+  }
+
+  std::size_t size() const {
+    std::size_t total = 0;
+    for (const Shard& sh : shards_) {
+      std::lock_guard<std::mutex> lock(sh.mu);
+      total += sh.lru.size();
+    }
+    return total;
+  }
+
+  std::int64_t evictions() const {
+    std::int64_t total = 0;
+    for (const Shard& sh : shards_) {
+      std::lock_guard<std::mutex> lock(sh.mu);
+      total += sh.evictions;
+    }
+    return total;
+  }
+
+ private:
+  using Entries = std::list<std::pair<Key, Value>>;  ///< front = MRU
+  struct Shard {
+    mutable std::mutex mu;
+    Entries lru;
+    std::unordered_map<Key, typename Entries::iterator> index;
+    std::int64_t evictions = 0;
+  };
+
+  Shard& shard_for(const Key& key) {
+    return shards_[std::hash<Key>{}(key) % shards_.size()];
+  }
+
+  std::size_t per_shard_;
+  std::vector<Shard> shards_;
+};
+
+/// The server's result cache: a ShardedLru from partition-request keys to
+/// results, counting hits and misses.
 class PartitionCache {
  public:
-  PartitionCache(std::size_t capacity, std::size_t shards);
+  PartitionCache(std::size_t capacity, std::size_t shards)
+      : capacity_(capacity), lru_(capacity, shards) {}
 
   /// True plus a copy of the cached result on a hit (the entry becomes the
-  /// shard's most recently used); false on a miss. Counts either way.
+  /// shard's most recently used, and the hit is counted); false on a miss,
+  /// which is counted by the insert() storing the computed answer.
   bool lookup(const std::string& key, PartitionResult& out);
 
-  /// Like lookup(), but a miss is not counted — for opportunistic probes
-  /// (the admission fast path) whose miss will be followed by a counted
-  /// lookup or an explicit miss on the serving path.
-  bool peek(const std::string& key, PartitionResult& out);
-
-  /// Inserts or refreshes `key`, evicting the shard's least recently used
-  /// entry beyond capacity. Concurrent same-key inserts keep one winner.
-  /// Returns true when the insert displaced an existing entry.
+  /// Counts a miss and stores its computed answer under `key`, evicting
+  /// the shard's least recently used entry beyond capacity. Concurrent
+  /// same-key inserts keep one winner. Returns true when the insert
+  /// displaced an existing entry.
   bool insert(const std::string& key, const PartitionResult& value);
 
-  void clear();
+  void clear() { lru_.clear(); }
   CacheStats stats() const;
   std::size_t capacity() const noexcept { return capacity_; }
 
@@ -172,25 +253,10 @@ class PartitionCache {
                               const PartitionPolicy& policy);
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    /// Front = most recently used; pairs of (key, result).
-    std::list<std::pair<std::string, PartitionResult>> lru;
-    std::unordered_map<
-        std::string,
-        std::list<std::pair<std::string, PartitionResult>>::iterator>
-        index;
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t evictions = 0;
-  };
-
-  bool find(const std::string& key, PartitionResult& out, bool count_miss);
-  Shard& shard_for(const std::string& key);
-
   std::size_t capacity_;
-  std::size_t per_shard_capacity_;
-  std::vector<Shard> shards_;
+  ShardedLru<std::string, PartitionResult> lru_;
+  std::atomic<std::int64_t> hits_{0};
+  std::atomic<std::int64_t> misses_{0};
 };
 
 /// A long-lived partitioning service: serve() for synchronous calls on the
@@ -210,20 +276,20 @@ class PartitionServer {
   PartitionServer(const PartitionServer&) = delete;
   PartitionServer& operator=(const PartitionServer&) = delete;
 
-  /// Partitions on the calling thread, consulting the cache first. A
-  /// cache hit returns the stored result verbatim (the key is computed via
-  /// the allocation-free fingerprint, no compilation: one walk over the
-  /// models); a miss compiles the model once (the second and last walk),
-  /// passes that model to core::partition() (the engine does not walk the
-  /// models again), and stores. With warm_start on
-  /// (the default), misses whose fingerprint was solved before — near-miss
-  /// traffic: same models, nearby n — carry the remembered slope into the
-  /// engine as a PartitionHint, which narrows the search without changing
-  /// the distribution. Policies carrying an observer always compute cold
+  /// serve_slo() with the default Slo (no deadline, never shed): the full
+  /// answer, with engine exceptions thrown to the caller. A cache hit
+  /// returns the stored result verbatim (keyed via the allocation-free
+  /// fingerprint, no compilation: one walk over the models); a miss
+  /// compiles the model once (the second and last walk), passes that
+  /// model to core::partition() (the engine does not walk the models
+  /// again), and stores. With warm_start on (the default), misses whose
+  /// fingerprint was solved before — near-miss traffic: same models,
+  /// nearby n — carry the remembered slope into the engine as a
+  /// PartitionHint, which narrows the search without changing the
+  /// distribution. Policies carrying an observer always compute cold
   /// (their callbacks must fire) and are never cached; with caching
   /// disabled every request counts as uncacheable but still warm-starts.
-  /// Every call records its latency in the serve-latency histogram.
-  /// No SLO semantics: never shed, never degraded, not in slo_stats().
+  /// Every call counts in slo_stats() as offered and admitted.
   PartitionResult serve(const SpeedList& speeds, std::int64_t n,
                         const PartitionPolicy& policy = {});
 
@@ -231,8 +297,7 @@ class PartitionServer {
   /// consults the service-time estimate only (no queue is involved): a
   /// request whose deadline is shorter than the predicted solve is
   /// degraded (hint store permitting) or shed without spending the solve.
-  /// Admitted requests run exactly like serve() and additionally report
-  /// latency and deadline_met.
+  /// A cache hit is answered whatever the deadline.
   ServeResult serve_slo(const SpeedList& speeds, std::int64_t n,
                         const PartitionPolicy& policy = {}, Slo slo = {});
 
@@ -241,8 +306,8 @@ class PartitionServer {
   /// algorithm id) surface through future::get(); such requests count as
   /// admitted.
   ///
-  /// The fingerprint computed for the inline cache probe travels with the
-  /// job, so a queued miss walks its models twice in all (probe + compile).
+  /// The key computed by the inline cache probe travels with the job, so
+  /// a queued miss walks its models twice in all (probe + compile).
   ///
   /// Requests carrying a deadline are admission-controlled at submission
   /// (predicted completion past the deadline => degraded or shed without
@@ -290,35 +355,50 @@ class PartitionServer {
   /// victim: lowest priority, latest deadline, newest.
   using JobKey = std::tuple<int, Clock::time_point, std::uint64_t>;
 
-  /// A request's model fingerprint once some step has computed it, so no
-  /// later step of the same request walks the models again (nullopt until
-  /// then: observer policies and a disabled cache never need one up front).
-  using KnownFingerprint = std::optional<std::uint64_t>;
+  /// A request's cache key as the probe computed it, carried to the later
+  /// steps of the request so none walks the models or formats the policy
+  /// again (nullopt when the probe was skipped: observer policies and a
+  /// disabled cache).
+  struct RequestKey {
+    std::uint64_t fingerprint = 0;
+    std::string text;  ///< PartitionCache::make_key(fingerprint, n, policy)
+  };
+  using KnownKey = std::optional<RequestKey>;
 
   struct QueuedJob {
     BatchRequest request;
     std::promise<ServeResult> promise;
     Clock::time_point submitted{};
     Clock::time_point deadline{};  ///< time_point::max() when none
-    KnownFingerprint fingerprint;  ///< from submit()'s cache probe
+    KnownKey key;                  ///< from submit()'s cache probe
   };
 
   void worker_loop();
   void execute(QueuedJob job);
-  /// serve() for a request whose fingerprint may already be known: a hit
-  /// walks the models once (or not at all when `fingerprint` is set), a
-  /// miss at most twice (key + compile).
-  PartitionResult serve_keyed(const SpeedList& speeds, std::int64_t n,
-                              const PartitionPolicy& policy,
-                              KnownFingerprint fingerprint);
+  /// The cache probe every request runs first: keys the request into `key`
+  /// and returns the accounted Ok answer on a hit; nullopt on a miss, and
+  /// without keying for observer policies or a disabled cache.
+  std::optional<ServeResult> probe(const SpeedList& speeds, std::int64_t n,
+                                   const PartitionPolicy& policy,
+                                   Clock::time_point submitted,
+                                   Clock::time_point deadline, KnownKey& key);
+  /// Solves an admitted request that missed the probe — on the compiled
+  /// model with the hint store's slope (cold for observers), storing the
+  /// answer when keyed — then records the service time as an estimator
+  /// sample and accounts the Ok answer. Engine exceptions propagate after
+  /// the request is counted as admitted.
+  ServeResult solve_admitted(const SpeedList& speeds, std::int64_t n,
+                             const PartitionPolicy& policy, const KnownKey& key,
+                             Priority priority, Clock::time_point submitted,
+                             Clock::time_point deadline);
   /// Degraded (hint store permitting and slo.allow_degraded) or Shed
   /// outcome for a request that will not get a full solve; unaccounted.
   ServeResult resolve_shed(const BatchRequest& request, ShedReason reason,
-                           KnownFingerprint fingerprint);
+                           const KnownKey& key);
   /// Builds a degraded answer for the request from the hint store; nullopt
   /// when no usable previous solution exists.
   std::optional<ServeResult> try_degrade(const BatchRequest& request,
-                                         KnownFingerprint fingerprint);
+                                         const KnownKey& key);
   /// resolve_shed + account + fulfil, for a job leaving the queue.
   void degrade_or_shed(QueuedJob&& job, ShedReason reason);
   /// Removes and returns every queued job (caller fulfils the promises).
@@ -357,17 +437,6 @@ class PartitionServer {
     int baseline_iterations = 0;
     std::vector<std::int64_t> counts;
   };
-  /// LRU-bounded hint shard (mirrors the result cache's structure):
-  /// fingerprint churn evicts the least recently touched hint and bumps
-  /// the server.hints.evicted counter.
-  struct HintShard {
-    mutable std::mutex mu;
-    std::list<std::pair<std::uint64_t, SlopeHint>> lru;
-    std::unordered_map<
-        std::uint64_t,
-        std::list<std::pair<std::uint64_t, SlopeHint>>::iterator>
-        index;
-  };
 
   /// The stored hint for `fingerprint`, packaged for PartitionPolicy.
   std::optional<PartitionHint> lookup_hint(std::uint64_t fingerprint);
@@ -386,22 +455,22 @@ class PartitionServer {
                                       std::int64_t n,
                                       const PartitionPolicy& policy);
 
-  /// Shared bookkeeping for an SLO answer: latency, deadline verdict, the
-  /// outcome counters, and the estimator sample (full solves only).
+  /// Shared bookkeeping for every answer and shed: latency, deadline
+  /// verdict, the outcome counters, and (full answers) the serve-latency
+  /// histogram.
   void account(ServeResult& outcome, Clock::time_point submitted,
-               Clock::time_point deadline, Priority priority);
+               Clock::time_point deadline);
 
   unsigned threads_;
   PartitionCache cache_;
   Metrics metrics_;
   bool warm_start_;
-  std::size_t hint_shard_capacity_;
   std::size_t max_queue_depth_;
-  double admission_slack_;
   QueueDelayEstimator estimator_;
-  std::array<HintShard, 16> hint_shards_;
+  /// Per-fingerprint hints; fingerprint churn evicts the least recently
+  /// touched one and bumps the server.hints.evicted counter.
+  ShardedLru<std::uint64_t, SlopeHint> hints_;
   std::atomic<std::int64_t> uncacheable_{0};
-  std::atomic<std::int64_t> hint_evictions_{0};
 
   // SLO accounting (per server; the obs registry aggregates all servers).
   std::atomic<std::int64_t> slo_offered_{0};

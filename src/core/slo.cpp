@@ -147,7 +147,7 @@ std::optional<DegradedAnswer> degraded_answer(
 // ---------------------------------------------------------------------------
 
 QueueDelayEstimator::QueueDelayEstimator(double alpha) noexcept
-    : alpha_(alpha > 0.0 && alpha <= 1.0 ? alpha : 0.2) {}
+    : alpha_(alpha > 0.0 && alpha <= 1.0 ? alpha : kDefaultAlpha) {}
 
 double QueueDelayEstimator::read(const Cell& cell) noexcept {
   return cell.count.load(std::memory_order_relaxed) > 0

@@ -135,8 +135,11 @@ std::optional<DegradedAnswer> degraded_answer(
 /// accounting value, and a lost sample only delays convergence.
 class QueueDelayEstimator {
  public:
+  /// EWMA weight of the newest sample in the server's estimator.
+  static constexpr double kDefaultAlpha = 0.2;
+
   /// `alpha` is the EWMA weight of the newest sample (0 < alpha <= 1).
-  explicit QueueDelayEstimator(double alpha = 0.2) noexcept;
+  explicit QueueDelayEstimator(double alpha = kDefaultAlpha) noexcept;
 
   /// Records one observed service time (seconds) for `priority`.
   void record(Priority priority, double service_s) noexcept;

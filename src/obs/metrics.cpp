@@ -344,8 +344,9 @@ std::span<const MetricInfo> metric_catalogue() {
        "bisection iterations saved versus each hint's cold baseline — the "
        "O(log2 n) vs O(log2 delta) gap on drifting inputs"},
       {names::kServerServeLatency, "histogram",
-       "PartitionServer::serve wall time per request (partition cost the "
-       "paper bounds by O(p^2 log2 n), Fig. 21)"},
+       "PartitionServer submission-to-answer wall time per full answer, "
+       "cache hits and queue wait included (partition cost the paper "
+       "bounds by O(p^2 log2 n), Fig. 21)"},
       {names::kServerQueueDepth, "gauge",
        "requests queued for the server's worker pool"},
       {names::kServerCacheHits, "counter",
@@ -362,12 +363,13 @@ std::span<const MetricInfo> metric_catalogue() {
        "warm-start hints LRU-evicted under fingerprint churn "
        "(ServerOptions::hint_capacity)"},
       {names::kServerSloOffered, "counter",
-       "SLO-aware requests received (submit/run_batch/serve_slo); equals "
+       "requests received by any entry point (serve/serve_slo/submit/"
+       "run_batch); equals "
        "admitted + degraded + the four shed counters at all times"},
       {names::kServerSloAdmitted, "counter",
-       "SLO requests answered in full by the engine or cache"},
+       "requests answered in full by the engine or cache"},
       {names::kServerSloDegraded, "counter",
-       "SLO requests answered approximately from the hint store (previous "
+       "requests answered approximately from the hint store (previous "
        "solution rescaled to the requested n, with an error bound)"},
       {names::kServerSloShedAdmission, "counter",
        "requests shed at submission: predicted completion past the "

@@ -250,8 +250,8 @@ inline constexpr const char* kServerCacheEvictions = "server.cache.evictions";
 inline constexpr const char* kServerCacheUncacheable =
     "server.cache.uncacheable";
 inline constexpr const char* kServerHintsEvicted = "server.hints.evicted";
-// SLO layer of the PartitionServer: deadline-aware requests only
-// (submit/run_batch/serve_slo). offered == admitted + degraded + sheds.
+// SLO layer of the PartitionServer: every request of every entry point
+// (serve/serve_slo/submit/run_batch). offered == admitted + degraded + sheds.
 inline constexpr const char* kServerSloOffered = "server.slo.offered";
 inline constexpr const char* kServerSloAdmitted = "server.slo.admitted";
 inline constexpr const char* kServerSloDegraded = "server.slo.degraded";

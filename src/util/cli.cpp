@@ -46,7 +46,8 @@ CliArgs::CliArgs(int argc, const char* const* argv,
     const bool is_switch =
         std::find(switches_.begin(), switches_.end(), key) != switches_.end();
     if (is_switch) {
-      values_[key] = "1";
+      // Not `= "1"`: GCC 12 reports a false -Wrestrict on that assign.
+      values_[key] = std::string("1");
     } else {
       if (i + 1 >= argc)
         throw std::invalid_argument("missing value for " + key);

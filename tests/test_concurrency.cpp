@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <thread>
@@ -95,24 +96,36 @@ TEST(PartitionServer, PartitionBatchConvenienceMatchesDirectCalls) {
 }
 
 TEST(PartitionServer, LruEvictsLeastRecentlyUsed) {
+  // The server's result cache, with one shard so the eviction order is
+  // exactly LRU (the server's 16 shards make it LRU per shard).
   const test::Ensemble e = test::constant_ensemble(3);
   const core::SpeedList list = e.list();
-  core::ServerOptions opts;
-  opts.threads = 1;
-  opts.cache_capacity = 4;
-  opts.cache_shards = 1;
-  core::PartitionServer server(opts);
-  for (int i = 0; i < 8; ++i) (void)server.serve(list, 1000 + i, {});
-  core::CacheStats stats = server.cache_stats();
+  core::PartitionCache cache(4, 1);
+  const auto key = [&list](int i) {
+    return core::PartitionCache::make_key(list, 1000 + i, {});
+  };
+  core::PartitionResult out;
+  // A first touch misses; storing its answer counts the miss.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_FALSE(cache.lookup(key(i), out));
+    core::PartitionResult answer;
+    answer.distribution.counts = {i};
+    (void)cache.insert(key(i), answer);
+  }
+  core::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 8);
   EXPECT_EQ(stats.entries, 4);
   EXPECT_EQ(stats.evictions, 4);
   // The four most recent keys are hits; the four oldest were evicted.
-  for (int i = 4; i < 8; ++i) (void)server.serve(list, 1000 + i, {});
-  stats = server.cache_stats();
+  for (int i = 4; i < 8; ++i) {
+    ASSERT_TRUE(cache.lookup(key(i), out));
+    EXPECT_EQ(out.distribution.counts, std::vector<std::int64_t>{i});
+  }
+  stats = cache.stats();
   EXPECT_EQ(stats.hits, 4);
-  (void)server.serve(list, 1000, {});  // evicted earlier: a miss again
-  EXPECT_EQ(server.cache_stats().misses, 9);
+  EXPECT_FALSE(cache.lookup(key(0), out));  // evicted earlier: a miss again
+  (void)cache.insert(key(0), {});
+  EXPECT_EQ(cache.stats().misses, 9);
 }
 
 TEST(PartitionServer, ObserverPoliciesBypassTheCache) {
@@ -158,6 +171,20 @@ TEST(PartitionServer, CacheKeyDistinguishesModelsAndPolicies) {
   bounded2.bounds.back() = 30000;
   (void)server.serve(a.list(), 50000, bounded2);
   EXPECT_EQ(server.cache_stats().misses, 4);
+  // Options one ULP apart: a distinct key (a 6-digit format once printed
+  // both margins as 0.25).
+  core::InterpolationOptions interp;
+  interp.safeguard_margin = 0.25;
+  core::PartitionPolicy margin;
+  margin.algorithm = core::kAlgorithmInterpolation;
+  margin.options = interp;
+  interp.safeguard_margin = std::nextafter(0.25, 1.0);
+  core::PartitionPolicy next_margin = margin;
+  next_margin.options = interp;
+  (void)server.serve(a.list(), 50000, margin);
+  (void)server.serve(a.list(), 50000, next_margin);
+  EXPECT_EQ(server.cache_stats().misses, 6);
+  EXPECT_EQ(server.cache_stats().hits, 1);
 }
 
 TEST(PartitionServer, ClearCacheResetsEntries) {

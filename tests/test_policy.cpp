@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -223,6 +224,15 @@ TEST(PolicyGrammar, ParsesKeysIntoTheMatchingOptions) {
   EXPECT_FALSE(opts->bisect_angles);
 }
 
+PartitionPolicy interpolation_with_margin(double margin) {
+  InterpolationOptions opts;
+  opts.safeguard_margin = margin;
+  PartitionPolicy policy;
+  policy.algorithm = kAlgorithmInterpolation;
+  policy.options = opts;
+  return policy;
+}
+
 TEST(PolicyGrammar, FormatRoundTrips) {
   const std::vector<std::string> tokens{"stall_window", "7", "bisect_angles",
                                         "false"};
@@ -232,6 +242,31 @@ TEST(PolicyGrammar, FormatRoundTrips) {
   // Defaults collapse to the bare id.
   EXPECT_EQ(format_policy(parse_policy(kAlgorithmModified, {})), "modified");
   EXPECT_EQ(format_policy(PartitionPolicy{}), "combined");
+  // Floating-point options come back exactly, not rounded to 6 digits.
+  for (const double margin : {0.1, 1.0 / 3, std::nextafter(0.25, 1.0)}) {
+    const std::string margin_text =
+        format_policy(interpolation_with_margin(margin));
+    std::istringstream in(margin_text);
+    std::string id;
+    in >> id;
+    std::vector<std::string> margin_tokens;
+    for (std::string token; in >> token;) margin_tokens.push_back(token);
+    const PartitionPolicy back = parse_policy(id, margin_tokens);
+    const auto* opts = std::get_if<InterpolationOptions>(&back.options);
+    ASSERT_NE(opts, nullptr) << margin_text;
+    EXPECT_EQ(opts->safeguard_margin, margin) << margin_text;
+    EXPECT_EQ(format_policy(back), margin_text);
+  }
+}
+
+TEST(PolicyGrammar, PoliciesOneUlpApartGetDistinctCacheKeys) {
+  const PartitionPolicy quarter = interpolation_with_margin(0.25);
+  for (const double other : {std::nextafter(0.25, 1.0), 0.2500001}) {
+    const PartitionPolicy near = interpolation_with_margin(other);
+    EXPECT_NE(format_policy(quarter), format_policy(near));
+    EXPECT_NE(PartitionCache::make_key(1, 100, quarter),
+              PartitionCache::make_key(1, 100, near));
+  }
 }
 
 TEST(PolicyGrammar, RejectsMalformedInput) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -168,8 +169,8 @@ TEST(ServeSlo, ImpossibleDeadlineDegradesFromHintStore) {
   const test::Ensemble e = test::mixed_ensemble();
   const core::SpeedList list = e.list();
   core::PartitionServer server({.threads = 1});
-  // Prime the hint store and the estimator with real solves (the plain
-  // serve() is not SLO-accounted; serve_slo trains the estimator).
+  // Prime the hint store and the estimator with real solves (serve() and
+  // serve_slo() both train the estimator).
   server.serve(list, 200000);
   for (int i = 0; i < 5; ++i)
     (void)server.serve_slo(list, 200000 + 1000 * (i + 1), {}, {60.0});
@@ -222,6 +223,83 @@ TEST(ServeSlo, CacheHitBeatsAnyDeadline) {
   const core::ServeResult r = server.serve_slo(list, 55555, {}, tight);
   EXPECT_EQ(r.status, core::ServeStatus::Ok) << "cached answers are free";
   EXPECT_EQ(r.result.distribution.total(), 55555);
+}
+
+TEST(ServeSlo, PlainServeIsOfferedAdmittedAndTrainsOnMissesOnly) {
+  const test::Ensemble e = test::mixed_ensemble();
+  const core::SpeedList list = e.list();
+  core::PartitionServer server({.threads = 1});
+  ASSERT_EQ(server.predicted_delay(core::Priority::Normal), 0.0);
+  (void)server.serve(list, 200000);  // miss: solved, a service-time sample
+  core::SloStats s = expect_invariant(server);
+  EXPECT_EQ(s.offered, 1);
+  EXPECT_EQ(s.admitted, 1);
+  const double trained = server.predicted_delay(core::Priority::Normal);
+  EXPECT_GT(trained, 0.0) << "a serve() miss is an estimator sample";
+  (void)server.serve(list, 200000);  // hit: answered by the probe
+  s = expect_invariant(server);
+  EXPECT_EQ(s.offered, 2);
+  EXPECT_EQ(s.admitted, 2);
+  EXPECT_EQ(server.predicted_delay(core::Priority::Normal), trained)
+      << "a cache hit is no estimator sample";
+  (void)server.serve(list, 201000);  // near miss: solved again
+  EXPECT_NE(server.predicted_delay(core::Priority::Normal), trained);
+}
+
+TEST(ServeSlo, InvariantCoversMixedServeServeSloAndSubmitTraffic) {
+  const test::Ensemble e = test::mixed_ensemble();
+  const core::SpeedList list = e.list();
+  core::PartitionServer server({.threads = 2});
+  core::Slo tight;
+  tight.deadline_s = 1e-9;
+  core::StepTrace trace;
+  core::PartitionPolicy traced;
+  traced.observer = trace.observer();
+  int requests = 0;
+  for (int i = 0; i < 4; ++i) {
+    const std::int64_t n = 100000 + 1000 * (i % 2);  // misses, then hits
+    (void)server.serve(list, n);
+    (void)server.serve(list, n + 7, traced);  // uncacheable
+    (void)server.serve_slo(list, n + 11, {}, {60.0});
+    (void)server.serve_slo(list, n + 13);  // no deadline
+    (void)server.serve_slo(list, 500000 + i, {}, tight);  // degraded
+    (void)server.submit({list, n + 19, {}, {}}).get();
+    (void)server.submit({list, 600000 + i, {}, tight}).get();  // degraded
+    requests += 7;
+  }
+  const core::SloStats s = expect_invariant(server);
+  EXPECT_EQ(s.offered, requests);
+  EXPECT_EQ(s.degraded, 8);
+  EXPECT_EQ(s.admitted, requests - 8);
+  const core::CacheStats c = server.cache_stats();
+  EXPECT_EQ(c.hits + c.misses + c.uncacheable, s.admitted);
+  EXPECT_EQ(c.uncacheable, 4);
+}
+
+TEST(ServeSlo, HugeAndInfiniteBudgetsNeverExpire) {
+  // A budget beyond the clock's range (~9.2e9 s of nanoseconds) saturates
+  // to "never" instead of overflowing into a deadline in the past.
+  const test::Ensemble e = test::mixed_ensemble();
+  const core::SpeedList list = e.list();
+  core::PartitionServer server({.threads = 1});
+  std::int64_t n = 300000;
+  for (const double budget :
+       {1e12, std::numeric_limits<double>::infinity()}) {
+    core::Slo slo;
+    slo.deadline_s = budget;
+    const core::ServeResult queued = server.submit({list, ++n, {}, slo}).get();
+    EXPECT_EQ(queued.status, core::ServeStatus::Ok) << budget;
+    EXPECT_TRUE(queued.deadline_met) << budget;
+    EXPECT_EQ(queued.result.distribution.total(), n);
+    const core::ServeResult inline_ = server.serve_slo(list, ++n, {}, slo);
+    EXPECT_EQ(inline_.status, core::ServeStatus::Ok) << budget;
+    EXPECT_TRUE(inline_.deadline_met) << budget;
+    EXPECT_EQ(inline_.result.distribution.total(), n);
+  }
+  const core::SloStats s = expect_invariant(server);
+  EXPECT_EQ(s.admitted, 4);
+  EXPECT_EQ(s.shed_expired, 0);
+  EXPECT_EQ(s.deadline_misses, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,6 +593,8 @@ TEST(Drain, TimeoutShedsQueuedWorkAndServerStaysUsable) {
   EXPECT_EQ(after.status, core::ServeStatus::Ok);
   EXPECT_EQ(after.result.distribution.total(), 4242);
   EXPECT_TRUE(server.drain(30s));
+  // A timeout beyond the clock's range waits without overflowing it.
+  EXPECT_TRUE(server.drain(std::chrono::nanoseconds::max()));
   expect_invariant(server);
 }
 
