@@ -70,24 +70,32 @@ core::FleetMix closed_form_mix() {
   return mix;
 }
 
-/// RAII around the global SIMD toggle.
-struct SimdToggle {
-  explicit SimdToggle(bool on) : prev(core::simd_kernels_enabled()) {
-    core::set_simd_kernels(on);
-  }
-  ~SimdToggle() { core::set_simd_kernels(prev); }
-  bool prev;
-};
+/// The vector kernels of the default context, and the bit-exact scalar
+/// oracle.
+core::SolveContext simd_context() { return core::SolveContext(); }
+core::SolveContext scalar_context() {
+  return core::SolveContext::for_backend("off");
+}
+
+/// core::partition of `list` on an explicit context.
+core::PartitionResult partition_on(const core::SpeedList& list,
+                                   std::int64_t n,
+                                   const core::PartitionPolicy& policy,
+                                   const core::SolveContext& ctx) {
+  return core::partition(core::CompiledSpeedList::compile(list), n, policy,
+                         ctx);
+}
 
 /// Best-of-reps seconds for one full intersect_all sweep over `slopes`.
 double sweep_seconds(const core::CompiledSpeedList& c,
                      const std::vector<double>& slopes,
-                     std::vector<double>& out, int reps) {
+                     std::vector<double>& out, int reps,
+                     core::SolveContext ctx) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     util::Timer timer;
     for (const double s : slopes) {
-      c.intersect_all(s, out);
+      c.intersect_all(s, out, &ctx);
       benchmark::DoNotOptimize(out.data());
     }
     best = std::min(best, timer.seconds());
@@ -104,15 +112,8 @@ double measure_speedup(std::size_t p) {
   for (int i = 0; i < 64; ++i)
     slopes.push_back(1e-4 * std::pow(10.0, 8.0 * i / 63.0));
   std::vector<double> out(p);
-  double t_simd = 0.0, t_scalar = 0.0;
-  {
-    SimdToggle on(true);
-    t_simd = sweep_seconds(c, slopes, out, 5);
-  }
-  {
-    SimdToggle off(false);
-    t_scalar = sweep_seconds(c, slopes, out, 5);
-  }
+  const double t_simd = sweep_seconds(c, slopes, out, 5, simd_context());
+  const double t_scalar = sweep_seconds(c, slopes, out, 5, scalar_context());
   return t_scalar / t_simd;
 }
 
@@ -136,18 +137,13 @@ std::vector<BackendSpeedup> measure_backend_speedups(std::size_t p) {
   for (int i = 0; i < 64; ++i)
     slopes.push_back(1e-4 * std::pow(10.0, 8.0 * i / 63.0));
   std::vector<double> out(p);
-  double t_scalar = 0.0;
-  {
-    SimdToggle off(false);
-    t_scalar = sweep_seconds(c, slopes, out, 5);
-  }
+  const double t_scalar = sweep_seconds(c, slopes, out, 5, scalar_context());
   for (const auto* k : core::detail::simd::compiled_simd_variants()) {
     if (!core::detail::simd::simd_variant_supported(*k)) continue;
-    core::force_simd_backend(k->name);
-    const double t = sweep_seconds(c, slopes, out, 5);
+    const double t = sweep_seconds(
+        c, slopes, out, 5, core::SolveContext::for_backend(k->name));
     out_rows.push_back({p, k->name, k->width, t_scalar / t});
   }
-  core::force_simd_backend("auto");
   return out_rows;
 }
 
@@ -166,11 +162,11 @@ double measure_epilogue_speedup(std::size_t p) {
   constexpr int kSweeps = 64;
   double t_batched = std::numeric_limits<double>::infinity();
   double t_scalar = std::numeric_limits<double>::infinity();
-  SimdToggle on(true);
+  const core::SolveContext ctx = simd_context();
   for (int r = 0; r < 5; ++r) {
     util::Timer timer;
     for (int s = 0; s < kSweeps; ++s) {
-      c.speed_all(xs, out);
+      c.speed_all(xs, out, &ctx);
       benchmark::DoNotOptimize(out.data());
     }
     t_batched = std::min(t_batched, timer.seconds());
@@ -221,16 +217,13 @@ SweepRow solve_row(std::size_t p) {
   SweepRow row;
   row.p = p;
 
-  core::PartitionResult oracle;
-  {
-    SimdToggle off(false);
-    oracle = core::partition(list, kN);
-  }
+  const core::PartitionResult oracle =
+      partition_on(list, kN, {}, scalar_context());
   core::PartitionResult simd;
   {
-    SimdToggle on(true);
+    const core::SolveContext ctx = simd_context();
     util::Timer timer;
-    simd = core::partition(list, kN);
+    simd = partition_on(list, kN, {}, ctx);
     row.solve_s = timer.seconds();
   }
   row.iterations = simd.stats.iterations;
@@ -262,16 +255,10 @@ EquivalenceRow check_equivalence(const core::SpeedList& list,
   core::PartitionPolicy policy;
   policy.algorithm = algorithm;
 
-  core::PartitionResult oracle;
-  {
-    SimdToggle off(false);
-    oracle = core::partition(list, n, policy);
-  }
-  core::PartitionResult simd;
-  {
-    SimdToggle on(true);
-    simd = core::partition(list, n, policy);
-  }
+  const core::PartitionResult oracle =
+      partition_on(list, n, policy, scalar_context());
+  const core::PartitionResult simd =
+      partition_on(list, n, policy, simd_context());
 
   row.sum_ok = sum(simd.distribution.counts) == n &&
                sum(oracle.distribution.counts) == n;
@@ -289,14 +276,10 @@ EquivalenceRow check_equivalence(const core::SpeedList& list,
   const double slope = oracle.stats.final_slope > 0.0
                            ? oracle.stats.final_slope
                            : 1.0;
-  {
-    SimdToggle on(true);
-    c.intersect_all(slope, xs_simd);
-  }
-  {
-    SimdToggle off(false);
-    c.intersect_all(slope, xs_scalar);
-  }
+  core::SolveContext simd_ctx = simd_context();
+  core::SolveContext scalar_ctx = scalar_context();
+  c.intersect_all(slope, xs_simd, &simd_ctx);
+  c.intersect_all(slope, xs_scalar, &scalar_ctx);
   row.worst_rel = 0.0;
   for (std::size_t i = 0; i < list.size(); ++i) {
     const double denom = std::max(std::abs(xs_scalar[i]), 1e-300);
@@ -319,9 +302,9 @@ void BM_IntersectAllSimd(benchmark::State& state) {
       core::make_synthetic_fleet(1024, kSeed, closed_form_mix());
   const auto c = core::CompiledSpeedList::compile(fleet.list());
   std::vector<double> out(1024);
-  SimdToggle on(true);
+  core::SolveContext ctx = simd_context();
   for (auto _ : state) {
-    c.intersect_all(37.5, out);
+    c.intersect_all(37.5, out, &ctx);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -332,9 +315,9 @@ void BM_IntersectAllScalar(benchmark::State& state) {
       core::make_synthetic_fleet(1024, kSeed, closed_form_mix());
   const auto c = core::CompiledSpeedList::compile(fleet.list());
   std::vector<double> out(1024);
-  SimdToggle off(false);
+  core::SolveContext ctx = scalar_context();
   for (auto _ : state) {
-    c.intersect_all(37.5, out);
+    c.intersect_all(37.5, out, &ctx);
     benchmark::DoNotOptimize(out.data());
   }
 }

@@ -5,7 +5,8 @@
 // never wait for completions, like real traffic).
 //
 // The run self-calibrates: a short closed-loop warmup measures the mean
-// service time, capacity = threads / service_time, and the two phases
+// service time (its wall time over its call count), capacity = threads /
+// service_time, and the two phases
 // offer `--load1` (default 0.8) and `--load2` (default 2.0) times that.
 // Every outcome is collected and written to BENCH_loadgen.json: per-phase
 // offered/admitted/degraded/shed accounting, goodput (answers meeting
@@ -378,24 +379,24 @@ int main(int argc, char** argv) {
   for (const Workload& w : workloads) (void)server.serve(w.list, w.base_n);
 
   // Closed-loop calibration: mean service time of a cache-missing solve.
-  {
+  // Every call is a synchronous serve_slo on this thread, so the loop's
+  // own wall time over its call count is that mean — a measurement over
+  // the whole window, not the estimator's view of its last few samples.
+  const double service_s = [&] {
     std::mt19937_64 rng(cfg.seed);
     const Clock::time_point t0 = Clock::now();
-    int calibration = 0;
-    while (std::chrono::duration<double>(Clock::now() - t0).count() < 0.25) {
+    int calls = 0;
+    double elapsed = 0.0;
+    while (elapsed < 0.25) {
       const Workload& w = workloads[rng() % workloads.size()];
       (void)server.serve_slo(w.list,
                              w.base_n + 17 + static_cast<std::int64_t>(
                                                  rng() % 100000),
                              {}, {60.0});
-      ++calibration;
+      ++calls;
+      elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
     }
-    if (calibration == 0) return 1;
-  }
-  const double service_s = [&] {
-    // Recover the learned estimate through the public surface.
-    const double d = server.predicted_delay(core::Priority::Normal);
-    return d > 0.0 ? d : 1e-4;
+    return elapsed / calls;
   }();
   const double capacity =
       std::min(cfg.max_rate, static_cast<double>(cfg.threads) / service_s);

@@ -20,11 +20,12 @@ bool bracket_converged(std::span<const double> small,
 namespace detail {
 
 PartitionResult solve_basic(const CompiledSpeedList& models, std::int64_t n,
-                            const BasicBisectionOptions& opts) {
+                            const BasicBisectionOptions& opts,
+                            const SolveContext& ctx) {
   if (models.size() == 0)
     throw std::invalid_argument("partition_basic: no speeds");
   if (n <= 0) return zero_result(kAlgorithmBasic, models.size());
-  SearchState state(models, n, &opts.observer,
+  SearchState state(models, n, ctx, &opts.observer,
                     opts.hint ? &*opts.hint : nullptr);
   while (!state.converged() && state.iterations() < opts.max_iterations)
     state.step_basic(opts.bisect_angles);
@@ -35,7 +36,7 @@ PartitionResult solve_basic(const CompiledSpeedList& models, std::int64_t n,
 
 PartitionResult partition_basic(const SpeedList& speeds, std::int64_t n,
                                 const BasicBisectionOptions& opts) {
-  return detail::solve_basic(CompiledSpeedList::compile(speeds), n, opts);
+  return detail::solve_basic(CompiledSpeedList::compile(speeds), n, opts, {});
 }
 
 }  // namespace fpm::core

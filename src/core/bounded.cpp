@@ -14,7 +14,8 @@ namespace fpm::core {
 PartitionResult detail::solve_bounded(const CompiledSpeedList& models,
                                       std::int64_t n,
                                       std::span<const std::int64_t> bounds,
-                                      const BoundedOptions& opts) {
+                                      const BoundedOptions& opts,
+                                      const SolveContext& ctx) {
   if (models.size() != bounds.size())
     throw std::invalid_argument("partition_bounded: size mismatch");
   std::int64_t capacity = 0;
@@ -41,12 +42,13 @@ PartitionResult detail::solve_bounded(const CompiledSpeedList& models,
     // sub-list.
     PartitionResult sub_result;
     if (active.size() == models.size()) {
-      sub_result = detail::solve_combined(models, remaining, inner);
+      sub_result = detail::solve_combined(models, remaining, inner, ctx);
     } else {
       SpeedList sub;
       sub.reserve(active.size());
       for (const std::size_t i : active) sub.push_back(models.base(i));
-      sub_result = partition_combined(sub, remaining, inner);
+      sub_result = detail::solve_combined(CompiledSpeedList::compile(sub),
+                                          remaining, inner, ctx);
     }
     if (first_round) {
       // The hint describes the full unclamped problem; the residual rounds
@@ -111,7 +113,7 @@ PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
                                   std::span<const std::int64_t> bounds,
                                   const BoundedOptions& opts) {
   return detail::solve_bounded(CompiledSpeedList::compile(speeds), n, bounds,
-                               opts);
+                               opts, SolveContext());
 }
 
 Distribution exact_optimum_bounded(const SpeedList& speeds, std::int64_t n,

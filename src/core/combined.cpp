@@ -11,11 +11,12 @@ namespace fpm::core {
 namespace detail {
 
 PartitionResult solve_combined(const CompiledSpeedList& models, std::int64_t n,
-                               const CombinedOptions& opts) {
+                               const CombinedOptions& opts,
+                               const SolveContext& ctx) {
   if (models.size() == 0)
     throw std::invalid_argument("partition_combined: no speeds");
   if (n <= 0) return zero_result(kAlgorithmCombined, models.size());
-  SearchState state(models, n, &opts.observer,
+  SearchState state(models, n, ctx, &opts.observer,
                     opts.hint ? &*opts.hint : nullptr);
 
   // Phase 1: basic bisection while it makes geometric progress.
@@ -58,7 +59,8 @@ PartitionResult solve_combined(const CompiledSpeedList& models, std::int64_t n,
 
 PartitionResult partition_combined(const SpeedList& speeds, std::int64_t n,
                                    const CombinedOptions& opts) {
-  return detail::solve_combined(CompiledSpeedList::compile(speeds), n, opts);
+  return detail::solve_combined(CompiledSpeedList::compile(speeds), n, opts,
+                                {});
 }
 
 }  // namespace fpm::core

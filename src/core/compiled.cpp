@@ -6,7 +6,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <initializer_list>
 #include <limits>
 #include <stdexcept>
@@ -29,32 +28,43 @@ constexpr std::uint64_t kFingerprintSeed = 1469598103934665603ULL;
 using detail::fingerprint_mix;
 using detail::fingerprint_mix_bits;
 
-std::atomic<bool> g_simd_enabled{true};
-std::atomic<std::size_t> g_parallel_threshold{1024};
+using detail::simd::SimdKernels;
 
-/// One-time application of the FPM_SIMD_BACKEND environment override. A
-/// valid value behaves exactly like force_simd_backend(value); an invalid
-/// one is ignored here (the library keeps auto dispatch) and surfaced as a
-/// hard error by fpmtool, which validates the variable explicitly.
-inline void apply_env_backend_once() noexcept {
-  static const bool applied = [] {
-    if (const char* env = std::getenv("FPM_SIMD_BACKEND")) {
-      try {
-        force_simd_backend(env);
-      } catch (const std::exception&) {
-      }
+/// The kernel table a backend name selects (nullptr: the scalar kernels);
+/// throws std::invalid_argument on names this build or CPU cannot run.
+const SimdKernels* kernels_named(std::string_view name) {
+  if (name == "auto") return detail::simd::resolved_simd_kernels();
+  if (name == "off") return nullptr;
+  const SimdKernels* k = detail::simd::find_simd_variant(name);
+  if (k != nullptr && detail::simd::simd_variant_supported(*k)) return k;
+  std::string msg = "simd backend '";
+  msg += name;
+  if (k != nullptr) {
+    msg += "' is compiled in but not supported by this CPU";
+  } else {
+    msg += "' is not compiled into this build (available:";
+    for (const SimdKernels* v : detail::simd::compiled_simd_variants()) {
+      msg += ' ';
+      msg += v->name;
     }
-    return true;
-  }();
-  (void)applied;
+    msg += " auto off)";
+  }
+  throw std::invalid_argument(msg);
 }
 
-/// The vector kernel table intersect_all should use right now, or nullptr
-/// for the bit-exact scalar batch path (toggle off or FPM_SIMD=OFF build).
-inline const detail::simd::SimdKernels* active_kernels() noexcept {
-  apply_env_backend_once();
-  if (!g_simd_enabled.load(std::memory_order_relaxed)) return nullptr;
-  return detail::simd::resolved_simd_kernels();
+/// The default context's table, resolved once: FPM_SIMD_BACKEND when it
+/// names a runnable backend (an invalid value is ignored here and rejected
+/// loudly by fpmtool, which validates the variable), else the CPU's best.
+const SimdKernels* default_kernels() noexcept {
+  static const SimdKernels* const kernels = [] {
+    const char* env = std::getenv("FPM_SIMD_BACKEND");
+    try {
+      return kernels_named(env != nullptr ? env : "auto");
+    } catch (const std::exception&) {
+      return detail::simd::resolved_simd_kernels();
+    }
+  }();
+  return kernels;
 }
 
 /// Every class the compiled layer reads structurally, identified by its
@@ -162,34 +172,20 @@ void count_classify_walk() noexcept {
 
 }  // namespace
 
-bool simd_kernels_enabled() noexcept {
-  return g_simd_enabled.load(std::memory_order_relaxed);
+SolveContext::SolveContext() noexcept {
+  static const SolveContext defaults(default_kernels());
+  *this = defaults;
 }
 
-void set_simd_kernels(bool enabled) noexcept {
-  g_simd_enabled.store(enabled, std::memory_order_relaxed);
+SolveContext SolveContext::for_backend(std::string_view name) {
+  return SolveContext(kernels_named(name));
 }
 
 bool simd_kernels_available() noexcept {
   return detail::simd::resolved_simd_kernels() != nullptr;
 }
 
-namespace {
-
-SimdBackend backend_from_name(const char* name) noexcept {
-  if (std::strcmp(name, "avx512") == 0) return SimdBackend::Avx512;
-  if (std::strcmp(name, "avx2") == 0) return SimdBackend::Avx2;
-  if (std::strcmp(name, "neon") == 0) return SimdBackend::Neon;
-  return SimdBackend::Portable;
-}
-
-}  // namespace
-
-SimdBackend active_simd_backend() noexcept {
-  const detail::simd::SimdKernels* kern = active_kernels();
-  if (kern == nullptr) return SimdBackend::Disabled;
-  return backend_from_name(kern->name);
-}
+SimdBackend active_simd_backend() noexcept { return SolveContext().backend(); }
 
 const char* to_string(SimdBackend backend) noexcept {
   switch (backend) {
@@ -205,48 +201,6 @@ const char* to_string(SimdBackend backend) noexcept {
       break;
   }
   return "off";
-}
-
-void force_simd_backend(std::string_view name) {
-  if (name == "auto") {
-    detail::simd::set_forced_simd_variant(nullptr);
-    set_simd_kernels(true);
-    return;
-  }
-  if (name == "off") {
-    detail::simd::set_forced_simd_variant(nullptr);
-    set_simd_kernels(false);
-    return;
-  }
-  const detail::simd::SimdKernels* k = detail::simd::find_simd_variant(name);
-  if (k == nullptr) {
-    std::string msg = "simd backend '";
-    msg += name;
-    msg += "' is not compiled into this build (available:";
-    for (const detail::simd::SimdKernels* v :
-         detail::simd::compiled_simd_variants()) {
-      msg += ' ';
-      msg += v->name;
-    }
-    msg += " auto off)";
-    throw std::invalid_argument(msg);
-  }
-  if (!detail::simd::simd_variant_supported(*k)) {
-    std::string msg = "simd backend '";
-    msg += name;
-    msg += "' is compiled in but not supported by this CPU";
-    throw std::invalid_argument(msg);
-  }
-  detail::simd::set_forced_simd_variant(k);
-  set_simd_kernels(true);
-}
-
-std::size_t parallel_intersect_threshold() noexcept {
-  return g_parallel_threshold.load(std::memory_order_relaxed);
-}
-
-void set_parallel_intersect_threshold(std::size_t entries) noexcept {
-  g_parallel_threshold.store(entries, std::memory_order_relaxed);
 }
 
 const SpeedFunction* CompiledSpeedList::classify(const SpeedFunction& f,
@@ -716,15 +670,19 @@ double CompiledSpeedList::entry_speed(const Entry& e, double x) const {
   return raw_speed(e, x);
 }
 
-double CompiledSpeedList::entry_intersect(const Entry& e, double slope) const {
+double CompiledSpeedList::entry_intersect(const Entry& e, double slope,
+                                          const SimdKernels* kern,
+                                          std::int64_t* saturations) const {
   assert(slope > 0.0);
-  if (e.family == Family::Generic) return e.base->intersect(slope);
+  if (e.family == Family::Generic)
+    return e.base->intersect(slope, saturations);
   if (e.wrap != Wrap::None) {
     // The wrappers do not override intersect() on the virtual side, so the
     // compiled side runs the same generic bisection over the same speed
     // values (virtual dispatch removed, arithmetic unchanged).
     return detail::generic_intersect(
-        [this, &e](double x) { return entry_speed(e, x); }, e.max_size, slope);
+        [this, &e](double x) { return entry_speed(e, x); }, e.max_size, slope,
+        saturations);
   }
   switch (e.family) {
     case Family::Constant:
@@ -732,7 +690,8 @@ double CompiledSpeedList::entry_intersect(const Entry& e, double slope) const {
     case Family::LinearDecay:
       return detail::linear_decay_intersect(e.a, e.b, e.c, slope);
     case Family::PowerDecay:
-      return detail::power_decay_intersect(e.a, e.b, e.c, e.d, slope);
+      return detail::power_decay_intersect(e.a, e.b, e.c, e.d, slope,
+                                           saturations);
     case Family::ExpDecay:
       return detail::exp_decay_intersect(e.a, e.b, e.d, slope);
     case Family::Piecewise: {
@@ -747,7 +706,6 @@ double CompiledSpeedList::entry_intersect(const Entry& e, double slope) const {
       if (slope * px_[off] >= ps_[off]) return ps_[off] / slope;
       std::uint32_t lo = 0;
       std::uint32_t hi = last;
-      const detail::simd::SimdKernels* kern = active_kernels();
       if (kern != nullptr && e.count >= 16) {
         // Vectorized bracketing scan over the SoA slab: count the segment
         // starts still above the line. The predicate ps > slope·px is the
@@ -779,19 +737,23 @@ double CompiledSpeedList::entry_intersect(const Entry& e, double slope) const {
     case Family::Stepped:
       // No closed form on the virtual side either: same generic bisection.
       return detail::generic_intersect(
-          [this, &e](double x) { return raw_speed(e, x); }, e.max_size, slope);
+          [this, &e](double x) { return raw_speed(e, x); }, e.max_size, slope,
+          saturations);
     case Family::Generic:
       break;
   }
-  return e.base->intersect(slope);
+  return e.base->intersect(slope, saturations);
 }
 
 double CompiledSpeedList::speed(std::size_t i, double x) const {
   return entry_speed(entries_[i], x);
 }
 
-double CompiledSpeedList::intersect(std::size_t i, double slope) const {
-  return entry_intersect(entries_[i], slope);
+double CompiledSpeedList::intersect(std::size_t i, double slope,
+                                    SolveContext* ctx) const {
+  return entry_intersect(entries_[i], slope,
+                         ctx ? ctx->kernels() : default_kernels(),
+                         ctx ? &ctx->counters.bracket_saturations : nullptr);
 }
 
 /// One batch task of intersect_all: a closed-form lane (lane 0..3, with its
@@ -804,7 +766,7 @@ struct CompiledSpeedList::LaneSweep {
   const BatchLane* bl = nullptr;
   const SteppedLane* sl = nullptr;
   const std::vector<std::uint32_t>* other = nullptr;
-  const detail::simd::SimdKernels* kern = nullptr;  ///< null => scalar batch
+  const SimdKernels* kern = nullptr;  ///< null => scalar batch
   std::size_t count = 0;
 };
 
@@ -817,33 +779,27 @@ namespace {
 constexpr std::size_t kLaneChunk = 512;
 static_assert(kLaneChunk % detail::simd::kMaxLanes == 0);
 
-/// Per-backend slice of kPartitionBatchSimdEntries. The set of names is
-/// fixed at compile time, so each resolves its registry slot once.
-obs::Counter& backend_simd_entries_counter(const char* name) {
-  static obs::Counter& portable = obs::metrics().counter(
-      obs::names::kPartitionBatchSimdEntriesPortable);
-  static obs::Counter& avx2 =
-      obs::metrics().counter(obs::names::kPartitionBatchSimdEntriesAvx2);
-  static obs::Counter& avx512 =
-      obs::metrics().counter(obs::names::kPartitionBatchSimdEntriesAvx512);
-  static obs::Counter& neon =
-      obs::metrics().counter(obs::names::kPartitionBatchSimdEntriesNeon);
-  if (std::strcmp(name, "avx512") == 0) return avx512;
-  if (std::strcmp(name, "avx2") == 0) return avx2;
-  if (std::strcmp(name, "neon") == 0) return neon;
-  return portable;
+/// Per-backend slice of kPartitionBatchSimdEntries, indexed by the
+/// context's SimdBackend (each registry slot resolved once).
+obs::Counter& backend_simd_entries_counter(SimdBackend backend) {
+  static obs::Counter* const counters[] = {
+      nullptr,
+      &obs::metrics().counter(obs::names::kPartitionBatchSimdEntriesPortable),
+      &obs::metrics().counter(obs::names::kPartitionBatchSimdEntriesAvx2),
+      &obs::metrics().counter(obs::names::kPartitionBatchSimdEntriesAvx512),
+      &obs::metrics().counter(obs::names::kPartitionBatchSimdEntriesNeon)};
+  return *counters[static_cast<std::size_t>(backend)];
 }
 }  // namespace
 
-void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
-                                             std::size_t begin,
-                                             std::size_t end, double slope,
-                                             std::span<double> out,
-                                             std::int64_t& scalar_fixups) const {
+void CompiledSpeedList::lane_chunk_intersect(
+    const LaneSweep& sweep, std::size_t begin, std::size_t end, double slope,
+    std::span<double> out, std::int64_t& scalar_fixups,
+    std::int64_t& saturations) const {
   if (sweep.lane == 6) {
     for (std::size_t j = begin; j < end; ++j) {
       const std::uint32_t i = (*sweep.other)[j];
-      out[i] = entry_intersect(entries_[i], slope);
+      out[i] = entry_intersect(entries_[i], slope, sweep.kern, &saturations);
     }
     return;
   }
@@ -856,7 +812,8 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
         sweep.lane == 4 ? sweep.bl->idx : sweep.sl->idx;
     if (sweep.kern == nullptr) {
       for (std::size_t j = begin; j < end; ++j)
-        out[idx[j]] = entry_intersect(entries_[idx[j]], slope);
+        out[idx[j]] =
+            entry_intersect(entries_[idx[j]], slope, nullptr, &saturations);
       return;
     }
     assert(begin % sweep.kern->width == 0 && m <= kLaneChunk);
@@ -882,9 +839,10 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
       double x = block[j];
       if (std::isnan(x)) {
         // Crossing at/beyond max_size: rerun the scalar bisection so the
-        // bracket expansion and its saturation tally happen exactly as on
+        // bracket expansion and its saturation count happen exactly as on
         // the per-entry path.
-        x = entry_intersect(entries_[idx[begin + j]], slope);
+        x = entry_intersect(entries_[idx[begin + j]], slope, sweep.kern,
+                            &saturations);
         ++scalar_fixups;
       }
       out[idx[begin + j]] = x;
@@ -910,7 +868,8 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
       case 2:
         detail::power_decay_intersect_batch(
             idx, {bl.a.data() + begin, m}, {bl.b.data() + begin, m},
-            {bl.c.data() + begin, m}, {bl.d.data() + begin, m}, slope, out);
+            {bl.c.data() + begin, m}, {bl.d.data() + begin, m}, slope, out,
+            &saturations);
         break;
       default:
         detail::exp_decay_intersect_batch(idx, {bl.a.data() + begin, m},
@@ -961,7 +920,7 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
       const std::size_t s = begin + j;
       if (sweep.lane == 2) {
         x = detail::power_decay_intersect(bl.a[s], bl.b[s], bl.c[s], bl.d[s],
-                                          slope);
+                                          slope, &saturations);
       } else {
         x = detail::exp_decay_intersect(bl.a[s], bl.b[s], bl.d[s], slope);
       }
@@ -971,10 +930,12 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
   }
 }
 
-void CompiledSpeedList::intersect_all(double slope,
-                                      std::span<double> out) const {
+void CompiledSpeedList::intersect_all(double slope, std::span<double> out,
+                                      SolveContext* given) const {
   assert(out.size() == entries_.size());
-  const detail::simd::SimdKernels* kern = active_kernels();
+  SolveContext fallback;
+  SolveContext& ctx = given != nullptr ? *given : fallback;
+  const SimdKernels* kern = ctx.kernels();
 
   LaneSweep sweeps[7];
   std::size_t nsweeps = 0;
@@ -995,53 +956,44 @@ void CompiledSpeedList::intersect_all(double slope,
     sweeps[nsweeps++] = LaneSweep{6,    nullptr, nullptr,
                                   &batch_other_, kern, batch_other_.size()};
 
+  // Chunk t is chunk t - first[i] of lane sweep i, first[i] <= t <
+  // first[i + 1]: in order, the chunks are the serial loop.
+  std::size_t first[8] = {};
+  for (std::size_t i = 0; i < nsweeps; ++i)
+    first[i + 1] = first[i] + (sweeps[i].count + kLaneChunk - 1) / kLaneChunk;
+  const auto run_chunk = [&](std::size_t t, std::int64_t& fix,
+                             std::int64_t& sat) {
+    std::size_t i = 0;
+    while (t >= first[i + 1]) ++i;
+    const std::size_t b = (t - first[i]) * kLaneChunk;
+    const std::size_t end = std::min(b + kLaneChunk, sweeps[i].count);
+    lane_chunk_intersect(sweeps[i], b, end, slope, out, fix, sat);
+  };
   std::int64_t fixups = 0;
+  std::int64_t saturations = 0;
   bool split = false;
-  if (entries_.size() >= parallel_intersect_threshold() &&
-      detail::lane_pool_threads() > 0) {
-    struct Task {
-      const LaneSweep* sweep;
-      std::size_t begin, end;
-    };
-    std::vector<Task> tasks;
-    tasks.reserve(entries_.size() / kLaneChunk + nsweeps);
-    for (std::size_t i = 0; i < nsweeps; ++i)
-      for (std::size_t b = 0; b < sweeps[i].count; b += kLaneChunk)
-        tasks.push_back(
-            {&sweeps[i], b, std::min(b + kLaneChunk, sweeps[i].count)});
-    split = tasks.size() > 1;
+  if (ctx.executor != nullptr && entries_.size() >= kParallelSweepEntries) {
+    // Each chunk counts locally and hands its totals over once.
     std::atomic<std::int64_t> fix_total{0};
     std::atomic<std::int64_t> sat_total{0};
-    detail::parallel_for_chunks(tasks.size(), [&](std::size_t t) {
-      // Bracket saturations inside a chunk land on the executing pool
-      // thread's tally; migrate each chunk's delta to the solving thread so
-      // SearchState's snapshot sees them no matter where the chunk ran.
-      std::int64_t local_fix = 0;
-      std::int64_t& tally = detail::bracket_saturation_tally();
-      const std::int64_t tally_before = tally;
-      const Task& task = tasks[t];
-      lane_chunk_intersect(*task.sweep, task.begin, task.end, slope, out,
-                           local_fix);
-      sat_total.fetch_add(tally - tally_before, std::memory_order_relaxed);
-      tally = tally_before;
-      if (local_fix != 0)
-        fix_total.fetch_add(local_fix, std::memory_order_relaxed);
+    split = ctx.executor(first[nsweeps], [&](std::size_t t) {
+      std::int64_t fix = 0;
+      std::int64_t sat = 0;
+      run_chunk(t, fix, sat);
+      fix_total.fetch_add(fix, std::memory_order_relaxed);
+      sat_total.fetch_add(sat, std::memory_order_relaxed);
     });
-    detail::bracket_saturation_tally() +=
-        sat_total.load(std::memory_order_relaxed);
     fixups = fix_total.load(std::memory_order_relaxed);
+    saturations = sat_total.load(std::memory_order_relaxed);
   } else {
-    for (std::size_t i = 0; i < nsweeps; ++i) {
-      for (std::size_t b = 0; b < sweeps[i].count; b += kLaneChunk)
-        lane_chunk_intersect(sweeps[i], b,
-                             std::min(b + kLaneChunk, sweeps[i].count), slope,
-                             out, fixups);
-    }
+    for (std::size_t t = 0; t < first[nsweeps]; ++t)
+      run_chunk(t, fixups, saturations);
   }
+  ctx.counters.bracket_saturations += saturations;
 
   // Lane occupancy / vector-path hit rate. Counter refs resolve once; the
   // per-backend split and the backend info gauge let dashboards tell which
-  // variant the dispatch picked without scraping logs.
+  // variant the context picked without scraping logs.
   static obs::Counter& c_simd =
       obs::metrics().counter(obs::names::kPartitionBatchSimdEntries);
   static obs::Counter& c_scalar =
@@ -1053,11 +1005,10 @@ void CompiledSpeedList::intersect_all(double slope,
   const auto batched =
       static_cast<std::int64_t>(entries_.size() - batch_other_.size());
   const auto other = static_cast<std::int64_t>(batch_other_.size());
-  g_backend.set(static_cast<double>(
-      static_cast<std::uint8_t>(active_simd_backend())));
+  g_backend.set(static_cast<double>(static_cast<std::uint8_t>(ctx.backend())));
   if (kern != nullptr) {
     c_simd.add(batched - fixups);
-    backend_simd_entries_counter(kern->name).add(batched - fixups);
+    backend_simd_entries_counter(ctx.backend()).add(batched - fixups);
     if (other + fixups != 0) c_scalar.add(other + fixups);
   } else if (batched + other != 0) {
     c_scalar.add(batched + other);
@@ -1066,9 +1017,10 @@ void CompiledSpeedList::intersect_all(double slope,
 }
 
 void CompiledSpeedList::speed_all(std::span<const double> xs,
-                                  std::span<double> out) const {
+                                  std::span<double> out,
+                                  const SolveContext* ctx) const {
   assert(xs.size() == entries_.size() && out.size() == entries_.size());
-  const detail::simd::SimdKernels* kern = active_kernels();
+  const SimdKernels* kern = ctx != nullptr ? ctx->kernels() : default_kernels();
   const auto scalar_lane = [&](const std::vector<std::uint32_t>& idx) {
     for (const std::uint32_t i : idx) out[i] = entry_speed(entries_[i], xs[i]);
   };
@@ -1118,36 +1070,35 @@ void CompiledSpeedList::speed_all(std::span<const double> xs,
 }
 
 std::vector<double> speeds_at(const CompiledSpeedList& speeds,
-                              std::span<const double> xs,
-                              EvalCounters* counters) {
+                              std::span<const double> xs, SolveContext* ctx) {
   std::vector<double> out(speeds.size());
-  speeds.speed_all(xs, out);
-  if (counters)
-    counters->speed_evals += static_cast<std::int64_t>(speeds.size());
+  speeds.speed_all(xs, out, ctx);
+  if (ctx)
+    ctx->counters.speed_evals += static_cast<std::int64_t>(speeds.size());
   return out;
 }
 
 std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
-                             EvalCounters* counters) {
+                             SolveContext* ctx) {
   std::vector<double> xs(speeds.size());
-  speeds.intersect_all(slope, xs);
-  if (counters)
-    counters->intersect_solves += static_cast<std::int64_t>(speeds.size());
+  speeds.intersect_all(slope, xs, ctx);
+  if (ctx)
+    ctx->counters.intersect_solves += static_cast<std::int64_t>(speeds.size());
   return xs;
 }
 
 double total_size_at(const CompiledSpeedList& speeds, double slope,
-                     EvalCounters* counters) {
+                     SolveContext* ctx) {
   // The sweep fills a scratch row first so the final reduction still runs
   // in entry order: lane-local partial sums would reorder the floating-
   // point additions and break bit-identity with the SpeedList overload.
   static thread_local std::vector<double> scratch;
   scratch.resize(speeds.size());
-  speeds.intersect_all(slope, scratch);
+  speeds.intersect_all(slope, scratch, ctx);
   double sum = 0.0;
   for (const double x : scratch) sum += x;
-  if (counters)
-    counters->intersect_solves += static_cast<std::int64_t>(speeds.size());
+  if (ctx)
+    ctx->counters.intersect_solves += static_cast<std::int64_t>(speeds.size());
   return sum;
 }
 

@@ -35,6 +35,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/detail/parallel.hpp"
+#include "core/detail/simd.hpp"
 #include "core/partition.hpp"
 #include "core/speed_function.hpp"
 #include "util/aligned.hpp"
@@ -45,9 +47,61 @@ namespace fpm::core {
 /// evaluation and one per c·x = s(x) solve, exactly the accounting of
 /// PartitionStats::speed_evals / intersect_solves. Evaluations *inside* a
 /// solve (e.g. the probes of a generic bisection) are not counted.
+/// bracket_saturations counts the generic bisections among those solves
+/// whose bracket expansion saturated (PartitionStats::bracket_saturations).
 struct EvalCounters {
   std::int64_t speed_evals = 0;
   std::int64_t intersect_solves = 0;
+  std::int64_t bracket_saturations = 0;
+};
+
+/// Lower-case name for CLI/JSON/metrics surfaces: "off", "portable",
+/// "avx2", "avx512", "neon".
+const char* to_string(SimdBackend backend) noexcept;
+
+/// Entry count from which a sweep splits its batch lanes into chunks on
+/// the context's executor (the calling thread participates). Results are
+/// bit-identical either way: chunks write disjoint ranges and reductions
+/// stay in entry order.
+inline constexpr std::size_t kParallelSweepEntries = 1024;
+
+/// Everything a solve reads besides its model and n, passed down
+/// explicitly: the kernel table its sweeps run, the executor that may split
+/// a large sweep across threads, and the counters its evaluations land in.
+/// No process-wide switch changes what a context does, so two threads
+/// solving with different contexts never change each other's answers.
+class SolveContext {
+ public:
+  /// The default context. Its kernel table is resolved once per process:
+  /// the backend FPM_SIMD_BACKEND names when it names one this build and
+  /// CPU can run (any value for_backend accepts), otherwise the CPU's best.
+  /// Its executor is the shared lane pool (detail/parallel.hpp).
+  SolveContext() noexcept;
+
+  /// A context on one backend: "auto" (the CPU's best, whatever the
+  /// environment says), "off" (the bit-exact scalar kernels), or a variant
+  /// name ("portable", "avx2", "avx512", "neon"). Throws
+  /// std::invalid_argument when the name is not a variant compiled into
+  /// this build or the CPU lacks its instruction set. The executor is the
+  /// default context's.
+  static SolveContext for_backend(std::string_view name);
+
+  /// The vector kernel table, or nullptr for the scalar batch kernels.
+  const detail::simd::SimdKernels* kernels() const noexcept { return kernels_; }
+  SimdBackend backend() const noexcept {
+    return kernels_ != nullptr ? kernels_->backend : SimdBackend::Disabled;
+  }
+
+  /// Splits sweeps of kParallelSweepEntries or more entries into chunks;
+  /// nullptr runs every sweep serially on the calling thread.
+  detail::ChunkExecutor executor = &detail::parallel_for_chunks;
+  EvalCounters counters;
+
+ private:
+  explicit SolveContext(const detail::simd::SimdKernels* kernels) noexcept
+      : kernels_(kernels) {}
+
+  const detail::simd::SimdKernels* kernels_;
 };
 
 class CompiledSpeedList {
@@ -95,34 +149,44 @@ class CompiledSpeedList {
   double speed(std::size_t i, double x) const;
 
   /// Solves slope·x = s_i(x), using the family's closed form where one
-  /// exists and the shared generic bisection otherwise.
-  double intersect(std::size_t i, double slope) const;
+  /// exists and the shared generic bisection otherwise. Always the scalar
+  /// arithmetic, bit-identical to the virtual path whatever the backend; a
+  /// bracket saturation counts into ctx->counters (nullptr: the default
+  /// context, uncounted).
+  double intersect(std::size_t i, double slope,
+                   SolveContext* ctx = nullptr) const;
 
   /// Solves slope·x = s_i(x) for every entry in one structure-of-arrays
   /// pass: the closed-form families (Constant, LinearDecay, PowerDecay,
   /// ExpDecay, unwrapped) plus parameter-vetted unwrapped Unimodal/Stepped
   /// entries run out of contiguous parameter lanes built at compile time —
-  /// through the vector kernels (detail/simd.hpp) when SIMD is enabled,
-  /// the scalar batch kernels / per-entry bisection otherwise — and the
+  /// through the context's vector kernels (detail/simd.hpp), or the scalar
+  /// batch kernels / per-entry bisection when it has none — and the
   /// remaining entries fall back to the per-entry dispatch. out.size()
-  /// must equal size(). With set_simd_kernels(false) (or FPM_SIMD=OFF)
-  /// this is bit-identical to calling intersect(i, slope) per entry;
-  /// with SIMD on, Constant/LinearDecay lanes and the piecewise scan stay
-  /// bit-identical while PowerDecay/ExpDecay roots and the Unimodal/
-  /// Stepped bisections may differ by a few ULP (decision boundaries are
-  /// punted to the exact scalar kernels — see SimdBackend below and
-  /// docs/performance.md).
-  void intersect_all(double slope, std::span<double> out) const;
+  /// must equal size(). With the scalar kernels (backend "off", or
+  /// FPM_SIMD=OFF) this is bit-identical to calling intersect(i, slope) per
+  /// entry; with a vector backend, Constant/LinearDecay lanes and the
+  /// piecewise scan stay bit-identical while PowerDecay/ExpDecay roots and
+  /// the Unimodal/Stepped bisections may differ by a few ULP (decision
+  /// boundaries are punted to the exact scalar kernels — see
+  /// docs/performance.md). Runs on `ctx` (nullptr: a default context):
+  /// bracket saturations count into ctx->counters, and at
+  /// kParallelSweepEntries or more entries the lanes run in chunks on
+  /// ctx->executor.
+  void intersect_all(double slope, std::span<double> out,
+                     SolveContext* ctx = nullptr) const;
 
   /// Evaluates speed(i, xs[i]) for every entry in one pass — the fine-tune
   /// epilogue's hot loop (core/finetune.cpp seeds its award heap from one
   /// such sweep instead of p virtual calls). The PowerDecay/ExpDecay lanes
-  /// gather their sizes and run the vector speed kernels (NaN punts fixed
-  /// up scalar, same contract as intersect_all); every other entry takes
-  /// the per-entry dispatch, which is bit-identical to speed(i, xs[i]).
-  /// With SIMD off the whole sweep is the per-entry loop, bit-identical to
-  /// calling speed() yourself.
-  void speed_all(std::span<const double> xs, std::span<double> out) const;
+  /// gather their sizes and run the context's vector speed kernels (NaN
+  /// punts fixed up scalar, same contract as intersect_all); every other
+  /// entry takes the per-entry dispatch, which is bit-identical to
+  /// speed(i, xs[i]). With the scalar kernels the whole sweep is the
+  /// per-entry loop, bit-identical to calling speed() yourself. Runs on
+  /// `ctx`'s kernels (nullptr: the default context's).
+  void speed_all(std::span<const double> xs, std::span<double> out,
+                 const SolveContext* ctx = nullptr) const;
 
   /// How many entries run through a batch lane (the rest take the
   /// per-entry fallback inside intersect_all).
@@ -179,7 +243,11 @@ class CompiledSpeedList {
 
   double raw_speed(const Entry& e, double x) const;
   double entry_speed(const Entry& e, double x) const;
-  double entry_intersect(const Entry& e, double slope) const;
+  /// `kern` only picks the piecewise segment scan (the same segment either
+  /// way); saturations count into `*saturations` when non-null.
+  double entry_intersect(const Entry& e, double slope,
+                         const detail::simd::SimdKernels* kern,
+                         std::int64_t* saturations) const;
 
   /// One SoA lane of the batch plan: the destination entry indices plus the
   /// parameter columns the family's batch kernel consumes. Columns are
@@ -221,8 +289,8 @@ class CompiledSpeedList {
   struct LaneSweep;  // one chunk-parallel batch task (compiled.cpp)
   void lane_chunk_intersect(const LaneSweep& sweep, std::size_t begin,
                             std::size_t end, double slope,
-                            std::span<double> out,
-                            std::int64_t& scalar_fixups) const;
+                            std::span<double> out, std::int64_t& scalar_fixups,
+                            std::int64_t& saturations) const;
 
   std::vector<Entry> entries_;
   // Batch plan for intersect_all(), grouped at compile time: one lane per
@@ -269,76 +337,29 @@ inline std::uint64_t fingerprint_mix_bits(std::uint64_t h, double v) noexcept {
 }  // namespace detail
 
 /// Compiled counterparts of the SpeedList helpers in core/partition.hpp,
-/// with optional counting (pass nullptr to skip it). A line is evaluated
-/// through one intersect_all sweep, so with set_simd_kernels(false) the
-/// numbers are bit-identical to the SpeedList overloads; detect_bracket
-/// shares its Figure-18 body with the SpeedList overload. `counters` is
-/// deliberately not defaulted: two-argument calls must keep resolving to
-/// the SpeedList overloads (e.g. detect_bracket({}, n)).
+/// run on `ctx` and counted into ctx->counters (nullptr: a default context,
+/// counts dropped). A line is evaluated through one intersect_all sweep, so
+/// with the scalar kernels the numbers are bit-identical to the SpeedList
+/// overloads; detect_bracket shares its Figure-18 body with the SpeedList
+/// overload. `ctx` is deliberately not defaulted: two-argument calls must
+/// keep resolving to the SpeedList overloads (e.g. detect_bracket({}, n)).
 std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
-                             EvalCounters* counters);
+                             SolveContext* ctx);
 double total_size_at(const CompiledSpeedList& speeds, double slope,
-                     EvalCounters* counters);
+                     SolveContext* ctx);
 SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
-                            EvalCounters* counters);
+                            SolveContext* ctx);
 
 /// Batched counterpart of `speeds.speed(i, xs[i])` per entry (one
 /// CompiledSpeedList::speed_all sweep, counted like p boundary
 /// evaluations). The fine-tune epilogue's seeding pass.
 std::vector<double> speeds_at(const CompiledSpeedList& speeds,
-                              std::span<const double> xs,
-                              EvalCounters* counters);
+                              std::span<const double> xs, SolveContext* ctx);
 
-/// Which vector implementation intersect_all's batch lanes are running on.
-enum class SimdBackend : std::uint8_t {
-  Disabled,  ///< FPM_SIMD=OFF build, or set_simd_kernels(false)
-  Portable,  ///< GCC vector-extension codegen under the baseline flags
-  Avx2,      ///< AVX2+FMA 4-wide variant (runtime-dispatched or -march)
-  Avx512,    ///< AVX-512F/DQ 8-wide variant (runtime-dispatched or -march)
-  Neon,      ///< AArch64 baseline codegen (the portable variant's name there)
-};
-
-/// Lower-case name for CLI/JSON/metrics surfaces: "off", "portable",
-/// "avx2", "avx512", "neon".
-const char* to_string(SimdBackend backend) noexcept;
-
-/// Forces intersect_all's vector dispatch onto one backend at runtime.
-/// Accepts "auto" (clear any override, re-enable SIMD), "off"
-/// (set_simd_kernels(false)), or a backend name ("portable", "avx2",
-/// "avx512", "neon"). Throws std::invalid_argument when the name is not a
-/// variant compiled into this build or the CPU lacks the instruction set —
-/// the mechanism behind `fpmtool partition --simd=...` and the
-/// FPM_SIMD_BACKEND environment override (read once, at the first batch
-/// dispatch; invalid environment values are ignored by the library and
-/// rejected loudly by fpmtool).
-void force_simd_backend(std::string_view name);
-
-/// Process-wide switch (default on) selecting whether the batch lanes of
-/// intersect_all run the vector kernels of detail/simd.hpp or the scalar
-/// batch kernels. This switch is NOT bit-neutral:
-/// the vector power/exp kernels replace libm with polynomial exp/log and
-/// may differ from the scalar path in the last ULPs (the constant/linear
-/// lanes and the piecewise scan stay bit-identical). set_simd_kernels(false)
-/// is the bit-exact scalar mode; the SIMD mode is gated by toleranced
-/// equivalence plus exact optimality invariants in tests/test_simd.cpp.
-/// Per-entry intersect(i, slope) is always scalar and bit-identical to the
-/// virtual path regardless of this switch.
-bool simd_kernels_enabled() noexcept;
-void set_simd_kernels(bool enabled) noexcept;
-
-/// True when the build carries the vector kernels at all (FPM_SIMD=ON),
-/// independent of the runtime toggle.
+/// True when the build carries the vector kernels at all (FPM_SIMD=ON).
 bool simd_kernels_available() noexcept;
 
-/// The backend intersect_all would use right now.
+/// The backend of the default context (SolveContext()).
 SimdBackend active_simd_backend() noexcept;
-
-/// Entry-count threshold (default 1024) above which intersect_all splits
-/// its batch lanes into chunks across the detail lane pool (the calling
-/// thread participates; with no helper threads the sweep stays serial).
-/// Results are bit-identical either way: chunks write disjoint ranges and
-/// reductions stay in entry order.
-std::size_t parallel_intersect_threshold() noexcept;
-void set_parallel_intersect_threshold(std::size_t entries) noexcept;
 
 }  // namespace fpm::core

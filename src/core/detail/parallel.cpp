@@ -114,18 +114,15 @@ unsigned lane_pool_threads() noexcept {
                         : default_threads();
 }
 
-void parallel_for_chunks(std::size_t chunk_count,
+bool parallel_for_chunks(std::size_t chunk_count,
                          const std::function<void(std::size_t)>& fn) {
-  if (chunk_count < 2 || lane_pool_threads() == 0) {
+  if (chunk_count < 2 || lane_pool_threads() == 0 ||
+      pool().ensure_started() == 0) {
     for (std::size_t chunk = 0; chunk < chunk_count; ++chunk) fn(chunk);
-    return;
+    return false;
   }
-  auto& p = pool();
-  if (p.ensure_started() == 0) {
-    for (std::size_t chunk = 0; chunk < chunk_count; ++chunk) fn(chunk);
-    return;
-  }
-  p.run(chunk_count, fn);
+  pool().run(chunk_count, fn);
+  return true;
 }
 
 }  // namespace fpm::core::detail

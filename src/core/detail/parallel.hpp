@@ -1,5 +1,6 @@
 // A tiny process-wide helper pool for splitting one intersect_all sweep
-// across cores at large p. This is deliberately NOT the PartitionServer's
+// across cores at large p: the executor of the default SolveContext
+// (core/compiled.hpp). This is deliberately NOT the PartitionServer's
 // worker pool: that pool parallelizes across *requests* and its threads are
 // the very callers of the solve path, so borrowing it for intra-solve
 // parallelism would deadlock a fully-loaded server (every worker waiting
@@ -26,11 +27,16 @@ unsigned lane_pool_threads() noexcept;
 
 /// Invokes fn(chunk) for every chunk in [0, chunk_count), spread across the
 /// calling thread plus the lane-pool helpers; returns only after every
-/// chunk completed. fn must be safe to call concurrently for distinct
-/// chunks. Serial (and pool-free) when chunk_count < 2 or no helpers are
-/// configured. Concurrent calls from different threads serialize against
-/// each other — the unit of parallelism is one solve's sweep.
-void parallel_for_chunks(std::size_t chunk_count,
+/// chunk completed, and whether helpers took part. fn must be safe to call
+/// concurrently for distinct chunks. Serial (and pool-free, returning
+/// false) when chunk_count < 2 or no helpers are configured. Concurrent
+/// calls from different threads serialize against each other — the unit of
+/// parallelism is one solve's sweep.
+bool parallel_for_chunks(std::size_t chunk_count,
                          const std::function<void(std::size_t)>& fn);
+
+/// What a SolveContext may carry to split a large sweep: a chunk loop with
+/// the contract of parallel_for_chunks (which is the default one).
+using ChunkExecutor = decltype(&parallel_for_chunks);
 
 }  // namespace fpm::core::detail

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/detail/speed_kernels.hpp"
-
 namespace fpm::core::detail {
 
 namespace {
@@ -37,26 +35,24 @@ PartitionResult zero_result(const char* algorithm, std::size_t p) {
 }
 
 SearchState::SearchState(const CompiledSpeedList& models, std::int64_t n,
+                         const SolveContext& ctx,
                          const SearchObserver* observer,
                          const PartitionHint* hint)
     : models_(models),
       n_(static_cast<double>(n)),
-      saturation_base_(bracket_saturation_tally()),
+      ctx_(ctx),
       observer_(observer) {
+  ctx_.counters = {};
   if (hint != nullptr && hint->usable())
     warmstart_ = try_warm_bracket(*hint, n) ? WarmStart::Hit : WarmStart::Stale;
   if (warmstart_ != WarmStart::Hit) {
-    bracket_ = detect_bracket(models_, n, &counters_);
-    small_ = sizes_at(models_, bracket_.hi_slope, &counters_);
-    large_ = sizes_at(models_, bracket_.lo_slope, &counters_);
+    bracket_ = detect_bracket(models_, n, &ctx_);
+    small_ = sizes_at(models_, bracket_.hi_slope, &ctx_);
+    large_ = sizes_at(models_, bracket_.lo_slope, &ctx_);
   }
   intersections_ += static_cast<int>(2 * models_.size());
   if (observing())
     emit(SearchStepKind::Bracket, bracket_.hi_slope, false, kNoProcessor);
-}
-
-std::int64_t SearchState::bracket_saturations() const noexcept {
-  return bracket_saturation_tally() - saturation_base_;
 }
 
 bool SearchState::try_warm_bracket(const PartitionHint& hint, std::int64_t n) {
@@ -76,7 +72,7 @@ bool SearchState::try_warm_bracket(const PartitionHint& hint, std::int64_t n) {
   const double nd = static_cast<double>(n);
   int budget = kWarmProbeBudget;
   const auto solve = [&](double slope, std::vector<double>& sizes) {
-    sizes = sizes_at(models_, slope, &counters_);
+    sizes = sizes_at(models_, slope, &ctx_);
     --budget;
     double total = 0.0;
     for (const double x : sizes) total += x;
@@ -166,12 +162,12 @@ PartitionResult SearchState::finish(const char* algorithm, std::int64_t n,
   stats.iterations = iterations_;
   stats.intersections = intersections_;
   stats.final_slope = bracket_.hi_slope;
-  stats.search_speed_evals = counters_.speed_evals;
-  stats.search_intersect_solves = counters_.intersect_solves;
-  result.distribution = fine_tune(models_, n, small_, &counters_);
-  stats.speed_evals = counters_.speed_evals;
-  stats.intersect_solves = counters_.intersect_solves;
-  stats.bracket_saturations = bracket_saturations();
+  stats.search_speed_evals = ctx_.counters.speed_evals;
+  stats.search_intersect_solves = ctx_.counters.intersect_solves;
+  result.distribution = fine_tune(models_, n, small_, &ctx_);
+  stats.speed_evals = ctx_.counters.speed_evals;
+  stats.intersect_solves = ctx_.counters.intersect_solves;
+  stats.bracket_saturations = ctx_.counters.bracket_saturations;
   stats.warmstart = warmstart_;
   if (warmstart_ == WarmStart::Hit)
     stats.iterations_saved =
@@ -196,7 +192,7 @@ void SearchState::emit(SearchStepKind kind, double slope, bool kept_low,
 void SearchState::split_at(double slope, SearchStepKind kind,
                            std::size_t processor) {
   ++iterations_;
-  std::vector<double> sizes = sizes_at(models_, slope, &counters_);
+  std::vector<double> sizes = sizes_at(models_, slope, &ctx_);
   intersections_ += static_cast<int>(models_.size());
   double sum = 0.0;
   for (const double x : sizes) sum += x;
@@ -265,7 +261,7 @@ void SearchState::step_modified() {
   const double m = 0.5 * (small_[best] + large_[best]);
   double slope = 0.0;
   if (m > 0.0) {
-    ++counters_.speed_evals;
+    ++ctx_.counters.speed_evals;
     slope = models_.speed(best, m) / m;
   }
   // m lies strictly between the two intersections of graph `best`, so by the

@@ -21,23 +21,28 @@
 
 namespace fpm::core::detail {
 
-/// The registry algorithms over a compiled model. The public
+/// The registry algorithms over a compiled model, run on `ctx`. The public
 /// partition_*(const SpeedList&, ...) functions compile once and forward
-/// here; core::partition(const CompiledSpeedList&, ...) dispatches here
-/// directly. `models` must outlive the call.
+/// here on a default context; core::partition(const CompiledSpeedList&,
+/// ...) dispatches here directly. `models` must outlive the call.
 PartitionResult solve_basic(const CompiledSpeedList& models, std::int64_t n,
-                            const BasicBisectionOptions& opts);
+                            const BasicBisectionOptions& opts,
+                            const SolveContext& ctx);
 PartitionResult solve_modified(const CompiledSpeedList& models,
                                std::int64_t n,
-                               const ModifiedBisectionOptions& opts);
+                               const ModifiedBisectionOptions& opts,
+                               const SolveContext& ctx);
 PartitionResult solve_combined(const CompiledSpeedList& models,
-                               std::int64_t n, const CombinedOptions& opts);
+                               std::int64_t n, const CombinedOptions& opts,
+                               const SolveContext& ctx);
 PartitionResult solve_interpolation(const CompiledSpeedList& models,
                                     std::int64_t n,
-                                    const InterpolationOptions& opts);
+                                    const InterpolationOptions& opts,
+                                    const SolveContext& ctx);
 PartitionResult solve_bounded(const CompiledSpeedList& models, std::int64_t n,
                               std::span<const std::int64_t> bounds,
-                              const BoundedOptions& opts);
+                              const BoundedOptions& opts,
+                              const SolveContext& ctx);
 
 /// The all-zero answer every algorithm returns for n <= 0.
 PartitionResult zero_result(const char* algorithm, std::size_t p);
@@ -48,7 +53,8 @@ PartitionResult zero_result(const char* algorithm, std::size_t p);
 /// The search runs on one compiled model it does not own: bracket
 /// detection, line splits, the modified step's speed probe and the
 /// fine-tune epilogue all evaluate through the CompiledSpeedList kernels
-/// and count into one EvalCounters, so the PartitionStats accounting is the
+/// on the search's own copy of the caller's SolveContext and count into
+/// its counters, so the PartitionStats accounting is the
 /// SpeedFunction-boundary count of every evaluation the search asked for.
 class SearchState {
  public:
@@ -59,8 +65,9 @@ class SearchState {
   /// verified one around the hinted slope (see PartitionHint); verification
   /// failure falls back to the cold bracket, so the search result is
   /// bit-identical with or without the hint. `models` must outlive this
-  /// object.
+  /// object; `ctx` is copied with its counters zeroed.
   SearchState(const CompiledSpeedList& models, std::int64_t n,
+              const SolveContext& ctx = SolveContext(),
               const SearchObserver* observer = nullptr,
               const PartitionHint* hint = nullptr);
 
@@ -74,11 +81,9 @@ class SearchState {
   int iterations() const noexcept { return iterations_; }
   int intersections() const noexcept { return intersections_; }
 
-  /// Generic-bisection bracket saturations observed since this state was
-  /// constructed (the thread-local tally delta — intersect_all migrates
-  /// pool-thread chunks back to the solving thread, so the delta is
-  /// complete). Read from the constructing thread, like the counters.
-  std::int64_t bracket_saturations() const noexcept;
+  /// The context the search evaluates on and counts into (so far, e.g.
+  /// counters.bracket_saturations with every chunk of a split sweep).
+  SolveContext& context() noexcept { return ctx_; }
 
   /// Ends the search: runs the Figure-9 fine-tune over the steep line (the
   /// batched compiled overload, counted into this search's counters) and
@@ -145,8 +150,7 @@ class SearchState {
   std::vector<double> large_;
   int iterations_ = 0;
   int intersections_ = 0;
-  EvalCounters counters_;
-  std::int64_t saturation_base_ = 0;  ///< tally snapshot at construction
+  SolveContext ctx_;
   const SearchObserver* observer_ = nullptr;
   WarmStart warmstart_ = WarmStart::None;
 };

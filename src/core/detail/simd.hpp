@@ -11,8 +11,10 @@
 // once per code-generation variant — portable 4-wide (SSE2, or NEON on
 // AArch64), AVX2+FMA 4-wide, and AVX-512 8-wide under
 // `#pragma GCC target("avx512f,avx512dq")` — and the best supported variant
-// is picked at runtime via __builtin_cpu_supports. The scalar fallback is
-// the pre-existing batch kernels, untouched.
+// is picked once at runtime via __builtin_cpu_supports. Which table a sweep
+// runs is not process state: every sweep reads it from the SolveContext it
+// is handed (core/compiled.hpp), and a context with no table runs the
+// scalar batch kernels of speed_kernels.hpp, untouched.
 //
 // Numerics contract (identical on every backend): the constant and
 // linear-decay kernels are pure rational arithmetic evaluated in the same
@@ -25,11 +27,11 @@
 // be *decision*-sensitive to those ULPs — near exp-decay's underflow floor,
 // near power-decay's 2^256 delegation threshold, outside the vexp clamp
 // range, non-normal inputs, or a unimodal/stepped crossing beyond max_size
-// (where the scalar bracket expansion and its saturation tally must run) —
+// (where the scalar bracket expansion and its saturation count must run) —
 // is punted back to the scalar kernel by writing a NaN sentinel that the
-// caller resolves (see scalar-fixup handling in compiled.cpp).
-// set_simd_kernels(false) (declared in core/compiled.hpp) restores the
-// bit-exact scalar batch path process-wide.
+// caller resolves (see scalar-fixup handling in compiled.cpp). A context
+// built with SolveContext::for_backend("off") runs the bit-exact scalar
+// batch path.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +42,29 @@
 
 #include "util/aligned.hpp"
 
+namespace fpm::core {
+
+/// Which vector implementation a sweep's batch lanes run on.
+enum class SimdBackend : std::uint8_t {
+  Disabled,  ///< the scalar kernels: FPM_SIMD=OFF build, or backend "off"
+  Portable,  ///< GCC vector-extension codegen under the baseline flags
+  Avx2,      ///< AVX2+FMA 4-wide variant (runtime-dispatched or -march)
+  Avx512,    ///< AVX-512F/DQ 8-wide variant (runtime-dispatched or -march)
+  Neon,      ///< AArch64 baseline codegen (the portable variant's name there)
+};
+
+}  // namespace fpm::core
+
 namespace fpm::core::detail::simd {
+
+/// The backend a variant's name denotes (evaluated once per table, at
+/// compile time, into SimdKernels::backend).
+constexpr SimdBackend backend_named(std::string_view name) noexcept {
+  if (name == "avx512") return SimdBackend::Avx512;
+  if (name == "avx2") return SimdBackend::Avx2;
+  if (name == "neon") return SimdBackend::Neon;
+  return SimdBackend::Portable;
+}
 
 /// Maximum vector width in doubles across all compiled variants. Columns
 /// handed to the kernels are padded to a multiple of kMaxLanes (pad slots
@@ -80,7 +104,7 @@ struct SimdKernels {
   /// Unimodal intersect by W-wide bisection on [0, max_size]: columns are
   /// a=s_low, b=s_peak, c=x_peak, d=decay_x0, e=decay_exponent, f=max_size.
   /// Punts (NaN) lanes whose crossing lies at or beyond max_size — those
-  /// need the scalar bracket expansion and its saturation tally.
+  /// need the scalar bracket expansion and its saturation count.
   void (*unimodal_batch)(const double* a, const double* b, const double* c,
                          const double* d, const double* e, const double* f,
                          std::size_t m, double slope, double* res);
@@ -110,16 +134,15 @@ struct SimdKernels {
   /// be padded; the kernel handles the tail scalar.
   std::size_t (*piecewise_count_above)(const double* px, const double* ps,
                                        std::size_t count, double slope);
-  const char* name;   ///< "portable" | "avx2" | "avx512" | "neon"
-  std::size_t width;  ///< vector width in doubles (4 or 8)
+  const char* name;     ///< "portable" | "avx2" | "avx512" | "neon"
+  std::size_t width;    ///< vector width in doubles (4 or 8)
+  SimdBackend backend;  ///< backend_named(name)
 };
 
-/// The vector implementation this process runs right now: the forced
-/// variant when one is installed, otherwise the best supported variant
-/// (avx512 > avx2 > portable/neon), chosen once at first use. Returns
-/// nullptr when the build was configured with FPM_SIMD=OFF — callers then
-/// use the scalar batch path. Independent of the runtime toggle:
-/// compiled.cpp consults simd_kernels_enabled() first.
+/// The best variant this CPU supports (avx512 > avx2 > portable/neon),
+/// chosen once at first use: what SolveContext::for_backend("auto") runs.
+/// Returns nullptr when the build was configured with FPM_SIMD=OFF —
+/// contexts then run the scalar batch path.
 const SimdKernels* resolved_simd_kernels() noexcept;
 
 /// Every variant compiled into this build, best-first. Empty under
@@ -133,10 +156,5 @@ bool simd_variant_supported(const SimdKernels& k) noexcept;
 
 /// The compiled-in variant with this name, or nullptr.
 const SimdKernels* find_simd_variant(std::string_view name) noexcept;
-
-/// Overrides the runtime dispatch (nullptr restores auto). The caller is
-/// responsible for checking simd_variant_supported first — this is the
-/// mechanism under core::force_simd_backend, which validates.
-void set_forced_simd_variant(const SimdKernels* k) noexcept;
 
 }  // namespace fpm::core::detail::simd

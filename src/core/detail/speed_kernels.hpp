@@ -67,26 +67,20 @@ inline double stepped_step_factor(double at, double to, double width,
 // same beyond-the-range semantics as SpeedFunction::intersect.
 // -------------------------------------------------------------------------
 
-/// Thread-local tally of generic_intersect bracket saturations: expansions
-/// that hit the 256-doubling cap with the curve still above the line. A
-/// saturated solve silently returns the midpoint of a bracket that does NOT
-/// straddle the crossing — the answer is the furthest representable probe
-/// (~max_size·2^256), not the true intersection. Callers that care
-/// (detail::SearchState -> PartitionStats::bracket_saturations, rolled into
-/// the partition.intersect.bracket_saturations obs counter) snapshot this
-/// tally around a solve; the counter is cheap because it only moves on the
-/// (pathological) saturating slopes.
-inline std::int64_t& bracket_saturation_tally() noexcept {
-  thread_local std::int64_t tally = 0;
-  return tally;
-}
-
 /// The default bisection of SpeedFunction::intersect, templated over the
 /// speed callable so the compiled layer can run it without virtual calls.
 /// `speed` must be the exact function the owning object exposes.
+///
+/// A bracket expansion that hits the 256-doubling cap with the curve still
+/// above the line is a saturation: the solve returns the midpoint of a
+/// bracket that does NOT straddle the crossing (~max_size·2^256, the
+/// furthest representable probe), not the true intersection. Each one adds
+/// 1 to `*saturations` when the caller passes a count (the solve path's is
+/// EvalCounters::bracket_saturations, reported as
+/// PartitionStats::bracket_saturations).
 template <typename SpeedFn>
-inline double generic_intersect(SpeedFn&& speed, double max_size,
-                                double slope) {
+inline double generic_intersect(SpeedFn&& speed, double max_size, double slope,
+                                std::int64_t* saturations) {
   // The ratio r(x) = speed(x)/x is strictly decreasing with r(0+) = +inf.
   // Speed functions remain defined beyond max_size() (continuing their
   // decay trend), so when even at x = b the curve is above the line the
@@ -99,8 +93,8 @@ inline double generic_intersect(SpeedFn&& speed, double max_size,
     hi *= 2.0;
     ++doublings;
   }
-  if (doublings == 256 && speed(hi) >= slope * hi)
-    ++bracket_saturation_tally();  // saturated: [0, hi] does not straddle
+  if (doublings == 256 && speed(hi) >= slope * hi && saturations != nullptr)
+    ++*saturations;  // saturated: [0, hi] does not straddle
   double lo = 0.0;  // ratio(lo) > slope (limit at 0+)
   // 200 halvings of [0, b] reach ~b/2^200: far below any representable
   // spacing, so the loop is effectively exact; bail early on fixpoint.
@@ -146,12 +140,13 @@ inline double linear_decay_intersect(double s0, double max_size, double floor,
 /// bisection so the two paths stay interchangeable even where the generic
 /// answer is its saturated bracket rather than the true crossing. Such a
 /// delegated solve saturates the bisection's bracket by construction and
-/// therefore bumps bracket_saturation_tally(): the returned value is the
-/// saturated bracket's midpoint (~max_size·2^255), a deliberate stand-in
-/// for an astronomically distant crossing, and the tally is how that loss
-/// of meaning becomes observable instead of silent.
+/// therefore adds to `*saturations`: the returned value is the saturated
+/// bracket's midpoint (~max_size·2^255), a deliberate stand-in for an
+/// astronomically distant crossing, and the count is how that loss of
+/// meaning becomes observable instead of silent.
 inline double power_decay_intersect(double s0, double x0, double k,
-                                    double max_size, double slope) {
+                                    double max_size, double slope,
+                                    std::int64_t* saturations) {
   const double c0 = std::log(slope) - std::log(s0);
   const double ly0 = std::log(x0);
   double y = -c0;  // ln(s0/slope): the curve never exceeds s0
@@ -172,7 +167,7 @@ inline double power_decay_intersect(double s0, double x0, double k,
   if (!(x < max_size * 0x1p256))
     return generic_intersect(
         [&](double xx) { return power_decay_speed(s0, x0, k, xx); }, max_size,
-        slope);
+        slope, saturations);
   return x;
 }
 
@@ -287,9 +282,11 @@ inline void power_decay_intersect_batch(std::span<const std::uint32_t> idx,
                                         std::span<const double> b,
                                         std::span<const double> c,
                                         std::span<const double> d, double slope,
-                                        std::span<double> out) {
+                                        std::span<double> out,
+                                        std::int64_t* saturations) {
   for (std::size_t j = 0; j < idx.size(); ++j)
-    out[idx[j]] = power_decay_intersect(a[j], b[j], c[j], d[j], slope);
+    out[idx[j]] =
+        power_decay_intersect(a[j], b[j], c[j], d[j], slope, saturations);
 }
 
 inline void exp_decay_intersect_batch(std::span<const std::uint32_t> idx,

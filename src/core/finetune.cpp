@@ -37,11 +37,11 @@ struct ListTimes {
 /// bit-identical to ListTimes.
 struct CompiledTimes {
   const CompiledSpeedList& speeds;
-  EvalCounters* counters;
+  SolveContext* ctx;
 
   std::size_t size() const noexcept { return speeds.size(); }
   double time(std::size_t i, std::int64_t x) const {
-    if (counters) ++counters->speed_evals;
+    if (ctx) ++ctx->counters.speed_evals;
     const double xd = static_cast<double>(x);
     return xd / speeds.speed(i, xd);
   }
@@ -49,7 +49,7 @@ struct CompiledTimes {
     std::vector<double> xs(speeds.size());
     for (std::size_t i = 0; i < speeds.size(); ++i)
       xs[i] = static_cast<double>(d.counts[i] + 1);
-    std::vector<double> ts = speeds_at(speeds, xs, counters);
+    std::vector<double> ts = speeds_at(speeds, xs, ctx);
     for (std::size_t i = 0; i < ts.size(); ++i) ts[i] = xs[i] / ts[i];
     return ts;
   }
@@ -117,9 +117,8 @@ Distribution fine_tune(const SpeedList& speeds, std::int64_t n,
 }
 
 Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
-                       std::span<const double> small_sizes,
-                       EvalCounters* counters) {
-  return fine_tune_with(CompiledTimes{speeds, counters}, n, small_sizes);
+                       std::span<const double> small_sizes, SolveContext* ctx) {
+  return fine_tune_with(CompiledTimes{speeds, ctx}, n, small_sizes);
 }
 
 Distribution greedy_from_zero(const SpeedList& speeds, std::int64_t n) {

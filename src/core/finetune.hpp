@@ -31,13 +31,12 @@ Distribution fine_tune(const SpeedList& speeds, std::int64_t n,
 /// Compiled-model overload, running the same body: the award heap is
 /// seeded from ONE batched speeds_at() sweep (the p-wide hot loop of the
 /// epilogue, vectorized for the power/exp lanes) instead of p virtual
-/// calls; the award/shed iterations stay per-entry. With SIMD off this is
-/// bit-identical — same values, same heap push sequence — to the SpeedList
-/// overload. Every evaluation counts one speed_evals in `counters` (pass
-/// nullptr to skip).
+/// calls; the award/shed iterations stay per-entry. With the scalar kernels
+/// this is bit-identical — same values, same heap push sequence — to the
+/// SpeedList overload. The sweep runs on `ctx` and every evaluation counts
+/// one speed_evals in ctx->counters (nullptr: a default context, uncounted).
 Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
-                       std::span<const double> small_sizes,
-                       EvalCounters* counters);
+                       std::span<const double> small_sizes, SolveContext* ctx);
 
 /// Greedy makespan-optimal allocation built from scratch (all-zero seed).
 /// O(n·log p) — exact but slow; exposed for tests and tiny problems.

@@ -55,9 +55,10 @@ double AggregateSpeed::speed(double x) const {
   return x * slope_for(x);
 }
 
-double AggregateSpeed::intersect(double slope) const {
+double AggregateSpeed::intersect(double slope,
+                                 std::int64_t* saturations) const {
   assert(slope > 0.0);
-  return total_size_at(members_, slope);
+  return total_size_at(members_, slope, saturations);
 }
 
 std::vector<std::int64_t> HierarchicalResult::flatten() const {

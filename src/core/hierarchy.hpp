@@ -46,7 +46,7 @@ class AggregateSpeed final : public SpeedFunction {
 
   /// For the aggregate the intersection has a direct form: the line of
   /// slope c loads the group with N(c) elements, so intersect(c) = N(c).
-  double intersect(double slope) const override;
+  double intersect(double slope, std::int64_t* = nullptr) const override;
 
   std::size_t members() const noexcept { return members_.size(); }
 

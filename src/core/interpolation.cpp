@@ -12,11 +12,12 @@ namespace detail {
 
 PartitionResult solve_interpolation(const CompiledSpeedList& models,
                                     std::int64_t n,
-                                    const InterpolationOptions& opts) {
+                                    const InterpolationOptions& opts,
+                                    const SolveContext& ctx) {
   if (models.size() == 0)
     throw std::invalid_argument("partition_interpolation: no speeds");
   if (n <= 0) return zero_result(kAlgorithmInterpolation, models.size());
-  SearchState state(models, n, &opts.observer,
+  SearchState state(models, n, ctx, &opts.observer,
                     opts.hint ? &*opts.hint : nullptr);
   const double target = std::log(static_cast<double>(n));
 
@@ -59,7 +60,7 @@ PartitionResult partition_interpolation(const SpeedList& speeds,
                                         std::int64_t n,
                                         const InterpolationOptions& opts) {
   return detail::solve_interpolation(CompiledSpeedList::compile(speeds), n,
-                                     opts);
+                                     opts, SolveContext());
 }
 
 }  // namespace fpm::core

@@ -11,11 +11,12 @@ namespace fpm::core {
 namespace detail {
 
 PartitionResult solve_modified(const CompiledSpeedList& models, std::int64_t n,
-                               const ModifiedBisectionOptions& opts) {
+                               const ModifiedBisectionOptions& opts,
+                               const SolveContext& ctx) {
   if (models.size() == 0)
     throw std::invalid_argument("partition_modified: no speeds");
   if (n <= 0) return zero_result(kAlgorithmModified, models.size());
-  SearchState state(models, n, &opts.observer,
+  SearchState state(models, n, ctx, &opts.observer,
                     opts.hint ? &*opts.hint : nullptr);
   // The guaranteed bound: each p steps halve the candidate count of at most
   // p·n lines, so p·log2(p·n) steps suffice; slack covers the bracket setup.
@@ -32,7 +33,8 @@ PartitionResult solve_modified(const CompiledSpeedList& models, std::int64_t n,
 
 PartitionResult partition_modified(const SpeedList& speeds, std::int64_t n,
                                    const ModifiedBisectionOptions& opts) {
-  return detail::solve_modified(CompiledSpeedList::compile(speeds), n, opts);
+  return detail::solve_modified(CompiledSpeedList::compile(speeds), n, opts,
+                                {});
 }
 
 }  // namespace fpm::core

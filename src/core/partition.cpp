@@ -23,9 +23,10 @@ std::vector<double> sizes_at(const SpeedList& speeds, double slope) {
   return xs;
 }
 
-double total_size_at(const SpeedList& speeds, double slope) {
+double total_size_at(const SpeedList& speeds, double slope,
+                     std::int64_t* saturations) {
   double sum = 0.0;
-  for (const SpeedFunction* f : speeds) sum += f->intersect(slope);
+  for (const SpeedFunction* f : speeds) sum += f->intersect(slope, saturations);
   return sum;
 }
 
@@ -78,14 +79,14 @@ SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n) {
 }
 
 SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
-                            EvalCounters* counters) {
+                            SolveContext* ctx) {
   return figure18_bracket(
       speeds.size(), n,
       [&](std::size_t i, double x) {
-        if (counters) ++counters->speed_evals;
+        if (ctx) ++ctx->counters.speed_evals;
         return speeds.speed(i, std::min(x, speeds.max_size(i)));
       },
-      [&](double slope) { return total_size_at(speeds, slope, counters); });
+      [&](double slope) { return total_size_at(speeds, slope, ctx); });
 }
 
 Distribution partition_even(std::int64_t n, std::size_t p) {

@@ -135,8 +135,10 @@ struct PartitionResult {
 /// produced later by fine-tuning).
 std::vector<double> sizes_at(const SpeedList& speeds, double slope);
 
-/// Sum of sizes_at(); strictly decreasing in the slope.
-double total_size_at(const SpeedList& speeds, double slope);
+/// Sum of sizes_at(); strictly decreasing in the slope. Bracket
+/// saturations of the solves add to `*saturations` when it is non-null.
+double total_size_at(const SpeedList& speeds, double slope,
+                     std::int64_t* saturations = nullptr);
 
 /// A pair of slopes bracketing the optimal line: total size >= n at
 /// `lo_slope` and <= n at `hi_slope` (hi_slope >= lo_slope).

@@ -90,7 +90,7 @@ double PiecewiseLinearSpeed::speed(double x) const {
                                          x);
 }
 
-double PiecewiseLinearSpeed::intersect(double slope) const {
+double PiecewiseLinearSpeed::intersect(double slope, std::int64_t*) const {
   assert(slope > 0.0);
   const SpeedPoint& last = points_.back();
   const double b = last.size;

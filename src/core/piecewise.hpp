@@ -47,7 +47,7 @@ class PiecewiseLinearSpeed final : public SpeedFunction {
 
   /// Closed-form intersection: binary-searches the breakpoint whose ratio
   /// brackets the slope, then solves the linear segment directly. O(log m).
-  double intersect(double slope) const override;
+  double intersect(double slope, std::int64_t* = nullptr) const override;
 
   std::span<const SpeedPoint> points() const noexcept { return points_; }
 

@@ -42,58 +42,58 @@ PartitionerRegistry build_registry() {
            "angle/tangent bisection of the slope interval (paper Fig. 7-8)",
            "O(p*log n) on polynomial slopes, O(p*n) worst case", false},
           [](const CompiledSpeedList& models, std::int64_t n,
-             const PartitionPolicy& policy) {
+             const PartitionPolicy& policy, const SolveContext& ctx) {
             auto opts = options_for<BasicBisectionOptions>(policy,
                                                           kAlgorithmBasic);
             if (policy.observer) opts.observer = policy.observer;
             if (policy.hint) opts.hint = policy.hint;
-            return detail::solve_basic(models, n, opts);
+            return detail::solve_basic(models, n, opts, ctx);
           });
   reg.add({kAlgorithmModified,
            "space-of-solutions bisection (paper Fig. 10-12)",
            "O(p^2*log2 n) guaranteed, shape-insensitive", false},
           [](const CompiledSpeedList& models, std::int64_t n,
-             const PartitionPolicy& policy) {
+             const PartitionPolicy& policy, const SolveContext& ctx) {
             auto opts = options_for<ModifiedBisectionOptions>(
                 policy, kAlgorithmModified);
             if (policy.observer) opts.observer = policy.observer;
             if (policy.hint) opts.hint = policy.hint;
-            return detail::solve_modified(models, n, opts);
+            return detail::solve_modified(models, n, opts, ctx);
           });
   reg.add({kAlgorithmCombined,
            "basic bisection with stall-triggered switch to modified "
            "(paper Fig. 15)",
            "O(p*log n) typical, O(p^2*log2 n) after the switch", false},
           [](const CompiledSpeedList& models, std::int64_t n,
-             const PartitionPolicy& policy) {
+             const PartitionPolicy& policy, const SolveContext& ctx) {
             auto opts = options_for<CombinedOptions>(policy,
                                                      kAlgorithmCombined);
             if (policy.observer) opts.observer = policy.observer;
             if (policy.hint) opts.hint = policy.hint;
-            return detail::solve_combined(models, n, opts);
+            return detail::solve_combined(models, n, opts, ctx);
           });
   reg.add({kAlgorithmInterpolation,
            "safeguarded log-log regula-falsi on the total-size curve",
            "superlinear in practice, <= 2x basic worst case", false},
           [](const CompiledSpeedList& models, std::int64_t n,
-             const PartitionPolicy& policy) {
+             const PartitionPolicy& policy, const SolveContext& ctx) {
             auto opts = options_for<InterpolationOptions>(
                 policy, kAlgorithmInterpolation);
             if (policy.observer) opts.observer = policy.observer;
             if (policy.hint) opts.hint = policy.hint;
-            return detail::solve_interpolation(models, n, opts);
+            return detail::solve_interpolation(models, n, opts, ctx);
           });
   reg.add({kAlgorithmBounded,
            "clamp-and-resolve under per-processor capacity bounds",
            "<= p combined solves", true},
           [](const CompiledSpeedList& models, std::int64_t n,
-             const PartitionPolicy& policy) {
+             const PartitionPolicy& policy, const SolveContext& ctx) {
             auto opts = options_for<BoundedOptions>(policy, kAlgorithmBounded);
             if (policy.observer) opts.inner.observer = policy.observer;
             if (policy.hint) opts.inner.hint = policy.hint;
             const std::vector<std::int64_t> bounds =
                 bounds_or_capacity(policy, models);
-            return detail::solve_bounded(models, n, bounds, opts);
+            return detail::solve_bounded(models, n, bounds, opts, ctx);
           });
   return reg;
 }
@@ -175,9 +175,11 @@ const PartitionerInfo* PartitionerRegistry::find(std::string_view id) const {
 
 PartitionResult PartitionerRegistry::run(const CompiledSpeedList& models,
                                          std::int64_t n,
-                                         const PartitionPolicy& policy) const {
+                                         const PartitionPolicy& policy,
+                                         const SolveContext& ctx) const {
   for (std::size_t i = 0; i < infos_.size(); ++i)
-    if (infos_[i].id == policy.algorithm) return runners_[i](models, n, policy);
+    if (infos_[i].id == policy.algorithm)
+      return runners_[i](models, n, policy, ctx);
   throw std::invalid_argument("partition: unknown algorithm '" +
                               policy.algorithm + "' (valid: " + joined_ids() +
                               ")");
@@ -189,8 +191,9 @@ const PartitionerRegistry& partitioner_registry() {
 }
 
 PartitionResult partition(const CompiledSpeedList& models, std::int64_t n,
-                          const PartitionPolicy& policy) {
-  PartitionResult result = partitioner_registry().run(models, n, policy);
+                          const PartitionPolicy& policy,
+                          const SolveContext& ctx) {
+  PartitionResult result = partitioner_registry().run(models, n, policy, ctx);
   // Roll the per-call PartitionStats accounting into the process-wide
   // registry: one invocation counter per algorithm id, plus the
   // SpeedFunction-boundary totals. Registry lookup cost is negligible next

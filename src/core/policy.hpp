@@ -71,7 +71,8 @@ struct PartitionerInfo {
 class PartitionerRegistry {
  public:
   using Runner = std::function<PartitionResult(
-      const CompiledSpeedList&, std::int64_t, const PartitionPolicy&)>;
+      const CompiledSpeedList&, std::int64_t, const PartitionPolicy&,
+      const SolveContext&)>;
 
   /// Registers an algorithm; ids must be unique.
   void add(PartitionerInfo info, Runner runner);
@@ -92,7 +93,8 @@ class PartitionerRegistry {
   /// std::invalid_argument naming the valid ids when the id is unknown, or
   /// when policy.options holds a different algorithm's options.
   PartitionResult run(const CompiledSpeedList& models, std::int64_t n,
-                      const PartitionPolicy& policy) const;
+                      const PartitionPolicy& policy,
+                      const SolveContext& ctx) const;
 
  private:
   std::vector<PartitionerInfo> infos_;
@@ -113,9 +115,13 @@ PartitionResult partition(const SpeedList& speeds, std::int64_t n,
 /// The same over an already-compiled model (e.g. the server's, compiled
 /// once per missed request): no further walk over the models, and the
 /// result is identical to partition() over the list `models` was compiled
-/// from. The original SpeedFunction objects must still be alive.
+/// from. The original SpeedFunction objects must still be alive. `ctx`'s
+/// kernel table and executor run every sweep of the solve; the solve counts
+/// into its own copy of it (reported in PartitionStats), so one context
+/// can serve many solves.
 PartitionResult partition(const CompiledSpeedList& models, std::int64_t n,
-                          const PartitionPolicy& policy = {});
+                          const PartitionPolicy& policy = {},
+                          const SolveContext& ctx = SolveContext());
 
 /// Parses a policy from an id plus "key value" token pairs — the grammar
 /// shared by spec files (`policy combined stall_window 4`) and CLI flags.

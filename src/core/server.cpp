@@ -129,6 +129,7 @@ PartitionServer::PartitionServer(ServerOptions options)
           obs::metrics().gauge(obs::names::kServerSloQueueDelayMicros)},
       warm_start_(options.warm_start),
       max_queue_depth_(options.max_queue_depth),
+      solve_context_(options.solve_context),
       hints_(std::max<std::size_t>(1, options.hint_capacity), kShards) {
   workers_.reserve(threads_);
   for (unsigned i = 0; i < threads_; ++i)
@@ -369,15 +370,15 @@ void PartitionServer::update_hint(std::uint64_t fingerprint, std::int64_t n,
 PartitionResult PartitionServer::partition_with_hint(
     const CompiledSpeedList& models, std::int64_t n,
     const PartitionPolicy& policy) {
-  if (!warm_start_) return partition(models, n, policy);
+  if (!warm_start_) return partition(models, n, policy, solve_context_);
   PartitionResult result;
   if (policy.hint) {
     // The caller brought their own hint; honour it untouched.
-    result = partition(models, n, policy);
+    result = partition(models, n, policy, solve_context_);
   } else {
     PartitionPolicy hinted = policy;
     hinted.hint = lookup_hint(models.fingerprint());
-    result = partition(models, n, hinted);
+    result = partition(models, n, hinted, solve_context_);
   }
   update_hint(models.fingerprint(), n, result);
   return result;
@@ -418,11 +419,10 @@ ServeResult PartitionServer::solve_admitted(
     // Everything else is compiled once here and solved on that model; a
     // near miss (fingerprint seen before under a different n) warm-starts
     // from the remembered slope.
-    outcome.result =
-        policy.observer
-            ? partition(speeds, n, policy)
-            : partition_with_hint(CompiledSpeedList::compile(speeds), n,
-                                  policy);
+    const CompiledSpeedList models = CompiledSpeedList::compile(speeds);
+    outcome.result = policy.observer
+                         ? partition(models, n, policy, solve_context_)
+                         : partition_with_hint(models, n, policy);
   } catch (...) {
     // Engine rejections (unknown algorithm id, invalid policy) are caller
     // errors, not load: the request was admitted, and the error reaches the

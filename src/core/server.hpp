@@ -9,7 +9,8 @@
 // from a thread-safe cache keyed by the CompiledSpeedList content
 // fingerprint and fans cache misses out over a fixed pool of worker
 // threads. Full answers are bit-identical to calling core::partition()
-// directly: the cache stores exactly what the engine returned.
+// directly on the server's SolveContext: the cache stores exactly what the
+// engine returned.
 //
 // When offered load exceeds capacity the server degrades deliberately
 // instead of letting the queue grow without bound:
@@ -91,6 +92,10 @@ struct ServerOptions {
   /// When the queue is full, a submission displaces the lowest-priority,
   /// latest-deadline request — which is degraded or shed.
   std::size_t max_queue_depth = 0;
+  /// The context every solve runs on (its kernel table and executor; each
+  /// solve counts into its own copy). E.g. SolveContext::for_backend("off")
+  /// for the bit-exact scalar kernels.
+  SolveContext solve_context{};
 };
 
 /// Aggregate cache counters (monotonic except `entries`/`hint_entries`).
@@ -466,6 +471,7 @@ class PartitionServer {
   Metrics metrics_;
   bool warm_start_;
   std::size_t max_queue_depth_;
+  SolveContext solve_context_;
   QueueDelayEstimator estimator_;
   /// Per-fingerprint hints; fingerprint churn evicts the least recently
   /// touched one and bumps the server.hints.evicted counter.

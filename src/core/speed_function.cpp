@@ -9,13 +9,14 @@
 
 namespace fpm::core {
 
-double SpeedFunction::intersect(double slope) const {
+double SpeedFunction::intersect(double slope,
+                                std::int64_t* saturations) const {
   assert(slope > 0.0);
   // The shared bisection kernel (see detail/speed_kernels.hpp): bracket
   // expansion beyond max_size() keeps the problem well-posed for any n,
   // then 200 halvings reach round-off exactness.
   return detail::generic_intersect([this](double x) { return speed(x); },
-                                   max_size(), slope);
+                                   max_size(), slope, saturations);
 }
 
 std::uint64_t SpeedFunction::instance_id() const noexcept {
@@ -57,7 +58,7 @@ ConstantSpeed::ConstantSpeed(double s0, double max_size)
     throw std::invalid_argument("ConstantSpeed: s0 and max_size must be > 0");
 }
 
-double ConstantSpeed::intersect(double slope) const {
+double ConstantSpeed::intersect(double slope, std::int64_t*) const {
   // The constant model has no memory wall: the crossing is exact and may
   // lie beyond the modelled range (consistent with speed() everywhere s0).
   return detail::constant_intersect(s0_, slope);
@@ -75,7 +76,7 @@ double LinearDecaySpeed::speed(double x) const {
   return detail::linear_decay_speed(s0_, max_size_, floor_, x);
 }
 
-double LinearDecaySpeed::intersect(double slope) const {
+double LinearDecaySpeed::intersect(double slope, std::int64_t*) const {
   // c·x = s0·(1 - x/B)  =>  x = s0 / (c + s0/B); valid while above floor,
   // then the floor plateau crossing floor/c (possibly beyond B).
   return detail::linear_decay_intersect(s0_, max_size_, floor_, slope);
@@ -92,9 +93,11 @@ double PowerDecaySpeed::speed(double x) const {
   return detail::power_decay_speed(s0_, x0_, k_, x);
 }
 
-double PowerDecaySpeed::intersect(double slope) const {
+double PowerDecaySpeed::intersect(double slope,
+                                  std::int64_t* saturations) const {
   assert(slope > 0.0);
-  return detail::power_decay_intersect(s0_, x0_, k_, max_size_, slope);
+  return detail::power_decay_intersect(s0_, x0_, k_, max_size_, slope,
+                                       saturations);
 }
 
 UnimodalSpeed::UnimodalSpeed(double s_low, double s_peak, double x_peak,
@@ -155,7 +158,7 @@ double ExpDecaySpeed::speed(double x) const {
   return detail::exp_decay_speed(s0_, lambda_, x);
 }
 
-double ExpDecaySpeed::intersect(double slope) const {
+double ExpDecaySpeed::intersect(double slope, std::int64_t*) const {
   assert(slope > 0.0);
   return detail::exp_decay_intersect(s0_, lambda_, max_size_, slope);
 }

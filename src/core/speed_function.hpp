@@ -65,8 +65,12 @@ class SpeedFunction {
   /// line passes below the whole graph (c <= speed(max_size())/max_size())
   /// and 0 when c is +infinity-like. The default implementation performs a
   /// bisection on the strictly decreasing ratio speed(x)/x; subclasses with
-  /// closed forms may override.
-  virtual double intersect(double slope) const;
+  /// closed forms may override. A bisection whose bracket expansion
+  /// saturates (see PartitionStats::bracket_saturations) adds 1 to
+  /// `*saturations` when the caller passes a count; overrides that bisect
+  /// (or solve through other models) forward it.
+  virtual double intersect(double slope,
+                           std::int64_t* saturations = nullptr) const;
 
   /// speed(x)/x, the quantity that is strictly decreasing in x.
   double ratio(double x) const { return speed(x) / x; }
@@ -104,7 +108,7 @@ class ConstantSpeed final : public SpeedFunction {
   ConstantSpeed(double s0, double max_size);
   double speed(double) const override { return s0_; }
   double max_size() const override { return max_size_; }
-  double intersect(double slope) const override;
+  double intersect(double slope, std::int64_t* = nullptr) const override;
 
   double s0() const noexcept { return s0_; }
 
@@ -123,7 +127,7 @@ class LinearDecaySpeed final : public SpeedFunction {
   LinearDecaySpeed(double s0, double max_size, double floor_fraction = 1e-3);
   double speed(double x) const override;
   double max_size() const override { return max_size_; }
-  double intersect(double slope) const override;
+  double intersect(double slope, std::int64_t* = nullptr) const override;
 
   double s0() const noexcept { return s0_; }
   double floor_speed() const noexcept { return floor_; }
@@ -144,7 +148,7 @@ class PowerDecaySpeed final : public SpeedFunction {
   double max_size() const override { return max_size_; }
   /// Closed form: bracketed Newton on slope·x·(1+(x/x0)^k) = s0, with
   /// bisection fallback steps whenever Newton would leave the sign bracket.
-  double intersect(double slope) const override;
+  double intersect(double slope, std::int64_t* = nullptr) const override;
 
   double s0() const noexcept { return s0_; }
   double x0() const noexcept { return x0_; }
@@ -220,7 +224,7 @@ class ExpDecaySpeed final : public SpeedFunction {
   /// Closed form: bracketed Newton on slope·x = s0·exp(-x/lambda) — the
   /// family whose optimal slope decays exponentially in n, so this is the
   /// hottest generic-bisection call site it replaces.
-  double intersect(double slope) const override;
+  double intersect(double slope, std::int64_t* = nullptr) const override;
 
   double s0() const noexcept { return s0_; }
   double lambda() const noexcept { return lambda_; }

@@ -318,7 +318,7 @@ std::span<const MetricInfo> metric_catalogue() {
        "(simd + scalar))"},
       {names::kPartitionBatchParallelSweeps, "counter",
        "intersect_all sweeps that split their lanes across the lane pool "
-       "(entry count above parallel_intersect_threshold)"},
+       "(entry count at or above kParallelSweepEntries)"},
       {names::kPartitionBatchBackend, "gauge",
        "active vector backend of the batch lanes as the core::SimdBackend "
        "enum value (0=off 1=portable 2=avx2 3=avx512 4=neon)"},

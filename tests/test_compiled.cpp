@@ -29,19 +29,12 @@ namespace {
 
 using core::CompiledSpeedList;
 
-/// RAII guard pinning the bit-exact scalar batch kernels: the SIMD lanes
-/// are only ULP-equivalent to the virtual path (tests/test_simd.cpp owns
-/// that gate), so the bit-identity assertions below run in scalar mode.
-class ScalarKernelsGuard {
- public:
-  ScalarKernelsGuard() : old_(core::simd_kernels_enabled()) {
-    core::set_simd_kernels(false);
-  }
-  ~ScalarKernelsGuard() { core::set_simd_kernels(old_); }
-
- private:
-  bool old_;
-};
+/// A context on the bit-exact scalar batch kernels: the SIMD lanes are
+/// only ULP-equivalent to the virtual path (tests/test_simd.cpp owns that
+/// gate), so the bit-identity assertions below run in scalar mode.
+core::SolveContext scalar_context() {
+  return core::SolveContext::for_backend("off");
+}
 
 /// Every ensemble the suite knows, plus mixed and a piecewise curve set.
 std::vector<test::Ensemble> equivalence_ensembles() {
@@ -180,9 +173,9 @@ TEST(Compiled, EverySearchDecisionReplaysOnTheVirtualHelpers) {
   // bracket, every line's keep-low decision, every modified step's slope
   // and the final fine-tune must be the ones those helpers give, bit for
   // bit in scalar mode.
-  ScalarKernelsGuard scalar;
   for (const test::Ensemble& e : equivalence_ensembles()) {
     const core::SpeedList list = e.list();
+    const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
     for (const std::string& alg : core::partitioner_registry().ids()) {
       for (const std::int64_t n : {1000LL, 1000000LL}) {
         SCOPED_TRACE(e.name + " " + alg + " n=" + std::to_string(n));
@@ -192,7 +185,8 @@ TEST(Compiled, EverySearchDecisionReplaysOnTheVirtualHelpers) {
         policy.observer = [&steps](const core::SearchStep& s) {
           steps.push_back(s);
         };
-        const core::PartitionResult r = core::partition(list, n, policy);
+        const core::PartitionResult r =
+            core::partition(compiled, n, policy, scalar_context());
         ASSERT_FALSE(steps.empty());
         // One bracket: bounded never clamps under its default bounds here,
         // so its single round is the combined search over the whole list.
@@ -234,22 +228,21 @@ TEST(Compiled, EverySearchDecisionReplaysOnTheVirtualHelpers) {
 }
 
 TEST(Compiled, BracketAndSizesMatchVirtualHelpers) {
-  ScalarKernelsGuard scalar;
   for (const test::Ensemble& e : equivalence_ensembles()) {
     const core::SpeedList list = e.list();
     const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
     for (const std::int64_t n : {100LL, 5000000LL}) {
-      core::EvalCounters counters;
-      const core::SlopeBracket a = detect_bracket(compiled, n, &counters);
+      core::SolveContext ctx = scalar_context();
+      const core::SlopeBracket a = detect_bracket(compiled, n, &ctx);
       const core::SlopeBracket b = detect_bracket(list, n);
       EXPECT_EQ(a.lo_slope, b.lo_slope) << e.name << " n=" << n;
       EXPECT_EQ(a.hi_slope, b.hi_slope) << e.name << " n=" << n;
-      EXPECT_GT(counters.speed_evals, 0) << e.name;
-      EXPECT_GT(counters.intersect_solves, 0) << e.name;
-      EXPECT_EQ(sizes_at(compiled, a.lo_slope, nullptr),
+      EXPECT_GT(ctx.counters.speed_evals, 0) << e.name;
+      EXPECT_GT(ctx.counters.intersect_solves, 0) << e.name;
+      EXPECT_EQ(sizes_at(compiled, a.lo_slope, &ctx),
                 sizes_at(list, b.lo_slope))
           << e.name << " n=" << n;
-      EXPECT_EQ(total_size_at(compiled, a.hi_slope, nullptr),
+      EXPECT_EQ(total_size_at(compiled, a.hi_slope, &ctx),
                 total_size_at(list, b.hi_slope))
           << e.name << " n=" << n;
     }

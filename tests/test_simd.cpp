@@ -3,22 +3,25 @@
 //
 //  * the ULP-toleranced SIMD-vs-scalar gate on intersect_all, with the
 //    virtual SpeedFunction path as the oracle,
-//  * bit-identity guarantees that survive the toggle (per-entry intersect,
-//    scalar batch mode, the piecewise vector scan),
+//  * bit-identity guarantees that hold on every context (per-entry
+//    intersect, scalar batch mode, the piecewise vector scan),
 //  * speed_kernels.hpp edge cases near the punt boundaries: exp-decay's
 //    1e-280 underflow floor plateau, power-decay's beyond-2^256 delegation
-//    to generic_intersect (and its bracket-saturation tally), piecewise
+//    to generic_intersect (and its bracket-saturation count), piecewise
 //    tail intersects across rising / flat / falling final segments,
 //  * the registry-wide equivalence gate (exact sum to n, makespan within
 //    fine-tune tolerance) for every algorithm with SIMD on,
-//  * the O(p)-parallel intersect_all path and the synthetic fleet
-//    generator's determinism.
+//  * the O(p)-parallel intersect_all path, concurrent solves on different
+//    SolveContexts, and the synthetic fleet generator's determinism.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/detail/parallel.hpp"
@@ -33,20 +36,6 @@ namespace {
 
 using core::CompiledSpeedList;
 
-/// RAII guard that restores auto backend dispatch (and the SIMD toggle it
-/// re-enables) when a test forced a specific variant.
-class BackendGuard {
- public:
-  BackendGuard() : was_enabled_(core::simd_kernels_enabled()) {}
-  ~BackendGuard() {
-    core::force_simd_backend("auto");
-    core::set_simd_kernels(was_enabled_);
-  }
-
- private:
-  bool was_enabled_;
-};
-
 /// The compiled-in variants this CPU can actually run.
 std::vector<const core::detail::simd::SimdKernels*> runnable_variants() {
   std::vector<const core::detail::simd::SimdKernels*> out;
@@ -55,30 +44,31 @@ std::vector<const core::detail::simd::SimdKernels*> runnable_variants() {
   return out;
 }
 
-/// RAII guard around the process-wide SIMD kernel toggle.
-class SimdToggle {
- public:
-  explicit SimdToggle(bool enabled) : old_(core::simd_kernels_enabled()) {
-    core::set_simd_kernels(enabled);
-  }
-  ~SimdToggle() { core::set_simd_kernels(old_); }
+/// The default context (the vector kernels when the build and CPU have
+/// them) and the bit-exact scalar one.
+core::SolveContext simd_context() { return core::SolveContext(); }
+core::SolveContext scalar_context() {
+  return core::SolveContext::for_backend("off");
+}
 
- private:
-  bool old_;
-};
+/// A context on one compiled-in variant.
+core::SolveContext backend_context(const core::detail::simd::SimdKernels* k) {
+  return core::SolveContext::for_backend(k->name);
+}
 
-/// RAII guard around the parallel-sweep threshold.
-class ThresholdGuard {
- public:
-  explicit ThresholdGuard(std::size_t t)
-      : old_(core::parallel_intersect_threshold()) {
-    core::set_parallel_intersect_threshold(t);
-  }
-  ~ThresholdGuard() { core::set_parallel_intersect_threshold(old_); }
+/// The same context with its executor removed: every sweep runs serially.
+core::SolveContext serial(core::SolveContext ctx) {
+  ctx.executor = nullptr;
+  return ctx;
+}
 
- private:
-  std::size_t old_;
-};
+/// core::partition of `list` on an explicit context.
+core::PartitionResult partition_on(const core::SpeedList& list,
+                                   std::int64_t n,
+                                   const core::PartitionPolicy& policy,
+                                   const core::SolveContext& ctx) {
+  return core::partition(CompiledSpeedList::compile(list), n, policy, ctx);
+}
 
 constexpr double kUlpTolerance = 1e-12;  // relative, generous vs ~1e-15 seen
 
@@ -111,9 +101,9 @@ TEST(Simd, IntersectAllMatchesVirtualOracleWithinTolerance) {
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
   std::vector<double> xs(list.size());
-  SimdToggle simd(true);
+  core::SolveContext ctx = simd_context();
   for (const double slope : sweep_slopes()) {
-    c.intersect_all(slope, xs);
+    c.intersect_all(slope, xs, &ctx);
     for (std::size_t i = 0; i < list.size(); ++i) {
       EXPECT_LE(rel_diff(xs[i], list[i]->intersect(slope)), kUlpTolerance)
           << "entry " << i << " slope " << slope;
@@ -126,9 +116,9 @@ TEST(Simd, ScalarToggleRestoresBitIdentity) {
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
   std::vector<double> xs(list.size());
-  SimdToggle scalar(false);
+  core::SolveContext scalar = scalar_context();
   for (const double slope : sweep_slopes()) {
-    c.intersect_all(slope, xs);
+    c.intersect_all(slope, xs, &scalar);
     for (std::size_t i = 0; i < list.size(); ++i)
       EXPECT_EQ(xs[i], list[i]->intersect(slope))
           << "entry " << i << " slope " << slope;
@@ -140,10 +130,10 @@ TEST(Simd, PerEntryIntersectBitIdenticalRegardlessOfToggle) {
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
   for (const bool enabled : {true, false}) {
-    SimdToggle toggle(enabled);
+    core::SolveContext ctx = enabled ? simd_context() : scalar_context();
     for (const double slope : sweep_slopes())
       for (std::size_t i = 0; i < list.size(); ++i)
-        EXPECT_EQ(c.intersect(i, slope), list[i]->intersect(slope))
+        EXPECT_EQ(c.intersect(i, slope, &ctx), list[i]->intersect(slope))
             << "entry " << i << " slope " << slope << " simd " << enabled;
   }
 }
@@ -165,8 +155,8 @@ TEST(Simd, ExpDecayUnderflowFloorPlateau) {
   // Slopes shallow enough that the root lands far beyond the floor
   // crossing (s0·e^-x/lambda < 1e-280 at the line), plus one regular one.
   for (const double slope : {1e-290, 1e-300, 0.5}) {
-    SimdToggle simd(true);
-    c.intersect_all(slope, xs);
+    core::SolveContext ctx = simd_context();
+    c.intersect_all(slope, xs, &ctx);
     for (std::size_t i = 0; i < list.size(); ++i) {
       const double oracle = list[i]->intersect(slope);
       EXPECT_LE(rel_diff(xs[i], oracle), kUlpTolerance)
@@ -185,7 +175,7 @@ TEST(Simd, PowerDecayBeyondDelegationThreshold) {
   // scalar kernel delegates to generic_intersect; the vector kernel must
   // punt (NaN sentinel) so the same scalar delegation decides. Results are
   // therefore exactly equal, and the generic bracket saturates (root far
-  // beyond max_size·2^256), which the tally must record.
+  // beyond max_size·2^256), which the context's counters must record.
   std::vector<std::shared_ptr<const core::SpeedFunction>> owned;
   for (int i = 0; i < 8; ++i)
     owned.push_back(std::make_shared<core::PowerDecaySpeed>(
@@ -196,11 +186,10 @@ TEST(Simd, PowerDecayBeyondDelegationThreshold) {
   std::vector<double> xs(list.size());
   const double slope = 1e-120;  // root ~ e^280, max_size·2^256 ~ 1e83
 
-  std::int64_t& tally = core::detail::bracket_saturation_tally();
-  const std::int64_t before = tally;
-  SimdToggle simd(true);
-  c.intersect_all(slope, xs);
-  EXPECT_GT(tally, before) << "delegated brackets should saturate";
+  core::SolveContext ctx = simd_context();
+  c.intersect_all(slope, xs, &ctx);
+  EXPECT_GT(ctx.counters.bracket_saturations, 0)
+      << "delegated brackets should saturate";
   for (std::size_t i = 0; i < list.size(); ++i)
     EXPECT_EQ(xs[i], list[i]->intersect(slope)) << "entry " << i;
 }
@@ -232,8 +221,8 @@ TEST(Simd, PiecewiseTailIntersectAcrossFinalSegmentShapes) {
   std::vector<double> xs(list.size());
   for (const double slope : {1.0, 1e-2, 1e-4, 1e-6, 1e-9}) {
     for (const bool enabled : {true, false}) {
-      SimdToggle toggle(enabled);
-      c.intersect_all(slope, xs);
+      core::SolveContext ctx = enabled ? simd_context() : scalar_context();
+      c.intersect_all(slope, xs, &ctx);
       for (std::size_t i = 0; i < list.size(); ++i) {
         // The vector scan picks the same segment as the binary search and
         // the segment solve is the same scalar arithmetic: bit-identical.
@@ -265,15 +254,10 @@ TEST(Simd, EveryRegistryAlgorithmEquivalentToScalarOracle) {
        core::partitioner_registry().entries()) {
     core::PartitionPolicy policy;
     policy.algorithm = info.id;
-    core::PartitionResult oracle, simd;
-    {
-      SimdToggle off(false);
-      oracle = core::partition(list, n, policy);
-    }
-    {
-      SimdToggle on(true);
-      simd = core::partition(list, n, policy);
-    }
+    const core::PartitionResult oracle =
+        partition_on(list, n, policy, scalar_context());
+    const core::PartitionResult simd =
+        partition_on(list, n, policy, simd_context());
     EXPECT_EQ(simd.distribution.total(), n) << info.id;
     EXPECT_EQ(oracle.distribution.total(), n) << info.id;
     // Few-ULP slope differences may break integer ties differently, but
@@ -289,62 +273,72 @@ TEST(Simd, EveryRegistryAlgorithmEquivalentToScalarOracle) {
 
 TEST(Simd, ParallelSweepMatchesSerialSweep) {
   core::detail::set_lane_pool_threads(2);  // before the pool lazily starts
-  const core::SyntheticFleet fleet = core::make_synthetic_fleet(700, 13);
+  const core::SyntheticFleet fleet = core::make_synthetic_fleet(1100, 13);
   const core::SpeedList list = fleet.list();
+  ASSERT_GE(list.size(), core::kParallelSweepEntries);  // chunks on the pool
   const auto c = CompiledSpeedList::compile(list);
-  std::vector<double> serial(list.size()), parallel(list.size());
+  std::vector<double> serial_xs(list.size()), parallel_xs(list.size());
   for (const bool enabled : {true, false}) {
-    SimdToggle toggle(enabled);
+    core::SolveContext chunked = enabled ? simd_context() : scalar_context();
+    core::SolveContext one_thread = serial(chunked);
     for (const double slope : sweep_slopes()) {
-      {
-        ThresholdGuard serial_only(100'000);  // above p: serial path
-        c.intersect_all(slope, serial);
-      }
-      {
-        ThresholdGuard always(1);  // below p: parallel path
-        c.intersect_all(slope, parallel);
-      }
+      c.intersect_all(slope, serial_xs, &one_thread);
+      c.intersect_all(slope, parallel_xs, &chunked);
       // Chunks write disjoint ranges with the same kernels: the split must
       // be invisible in the output, bit for bit.
-      EXPECT_EQ(serial, parallel) << "slope " << slope << " simd " << enabled;
+      EXPECT_EQ(serial_xs, parallel_xs)
+          << "slope " << slope << " simd " << enabled;
     }
   }
 }
 
-TEST(Simd, ParallelSweepMigratesSaturationTally) {
+TEST(Simd, ParallelSweepCountsEverySaturation) {
   core::detail::set_lane_pool_threads(2);
-  // Generic entries whose brackets saturate at this slope: the tally delta
-  // must land on the calling thread even when pool workers ran the chunks.
+  // Generic entries whose brackets saturate at this slope: the context's
+  // counters, and so PartitionStats::bracket_saturations, must count every
+  // one, whether the sweep ran serially or in chunks on the pool's helpers.
   std::vector<std::shared_ptr<const core::SpeedFunction>> owned;
-  for (int i = 0; i < 40; ++i)
+  for (int i = 0; i < 1100; ++i)
     owned.push_back(std::make_shared<OpaqueConstantSpeed>(100.0 + i, 1.0));
   core::SpeedList list;
   for (const auto& f : owned) list.push_back(f.get());
   const auto c = CompiledSpeedList::compile(list);
   ASSERT_EQ(c.batched_entries(), 0u);  // all Generic -> fallback lane
-  std::vector<double> xs(list.size());
-  ThresholdGuard always(1);
-  std::int64_t& tally = core::detail::bracket_saturation_tally();
-  const std::int64_t before = tally;
-  c.intersect_all(1e-80, xs);  // 100 >= 1e-80·(2^256) never crosses
-  EXPECT_EQ(tally - before, static_cast<std::int64_t>(list.size()));
+  ASSERT_GE(list.size(), core::kParallelSweepEntries);
+  const auto p = static_cast<std::int64_t>(list.size());
+  for (const bool chunked : {false, true}) {
+    SCOPED_TRACE(chunked ? "chunked" : "serial");
+    const core::SolveContext ctx =
+        chunked ? simd_context() : serial(simd_context());
+    core::detail::SearchState state(c, 1000, ctx);
+    EXPECT_EQ(state.context().counters.bracket_saturations, 0);
+    // 100 >= 1e-80·(2^256) never crosses.
+    (void)core::sizes_at(c, 1e-80, &state.context());
+    EXPECT_EQ(state.context().counters.bracket_saturations, p);
+    const core::PartitionResult r =
+        state.finish(core::kAlgorithmBasic, 1000, std::nullopt);
+    EXPECT_EQ(r.stats.bracket_saturations, p);
+  }
 }
 
 // --- PartitionStats / SearchState plumbing. -----------------------------
 
-TEST(Simd, SearchStateSnapshotsSaturationTally) {
+TEST(Simd, SearchStateCountsSaturationsInItsContext) {
   std::vector<std::shared_ptr<const core::SpeedFunction>> owned{
       std::make_shared<OpaqueConstantSpeed>(100.0, 1.0),
       std::make_shared<OpaqueConstantSpeed>(50.0, 1.0)};
   core::SpeedList list;
   for (const auto& f : owned) list.push_back(f.get());
   const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
-  core::detail::SearchState state(compiled, 1000);
-  EXPECT_EQ(state.bracket_saturations(), 0);
-  // A follow-up solve on the search's model (the fine-tuning pattern) that
-  // saturates must be visible in the snapshot delta.
+  core::detail::SearchState state(compiled, 1000, simd_context());
+  EXPECT_EQ(state.context().counters.bracket_saturations, 0);
+  // A follow-up solve on the search's model and context (the fine-tuning
+  // pattern) that saturates must be counted by the search.
+  compiled.intersect(0, 1e-80, &state.context());
+  EXPECT_EQ(state.context().counters.bracket_saturations, 1);
+  // Without a context the solve counts nowhere.
   compiled.intersect(0, 1e-80);
-  EXPECT_EQ(state.bracket_saturations(), 1);
+  EXPECT_EQ(state.context().counters.bracket_saturations, 1);
 }
 
 TEST(Simd, PartitionStatsReportZeroSaturationsOnHealthyFleets) {
@@ -383,12 +377,11 @@ TEST(Simd, EveryCompiledBackendMatchesScalarOracle) {
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
   std::vector<double> xs(list.size());
-  BackendGuard restore;
   for (const auto* k : variants) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    core::SolveContext ctx = backend_context(k);
     for (const double slope : sweep_slopes()) {
-      c.intersect_all(slope, xs);
+      c.intersect_all(slope, xs, &ctx);
       for (std::size_t i = 0; i < list.size(); ++i)
         EXPECT_LE(rel_diff(xs[i], list[i]->intersect(slope)), kUlpTolerance)
             << "entry " << i << " slope " << slope;
@@ -433,12 +426,11 @@ TEST(Simd, UnimodalAndSteppedLanesMatchOracleOnEveryBackend) {
   const auto c = CompiledSpeedList::compile(list);
   EXPECT_EQ(c.batched_entries(), list.size() - 1);  // the 12-step curve punts
   std::vector<double> xs(list.size());
-  BackendGuard restore;
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    core::SolveContext ctx = backend_context(k);
     for (const double slope : {1e3, 1.0, 1e-2, 1e-5, 1e-9}) {
-      c.intersect_all(slope, xs);
+      c.intersect_all(slope, xs, &ctx);
       for (std::size_t i = 0; i < list.size(); ++i)
         EXPECT_LE(rel_diff(xs[i], list[i]->intersect(slope)), kUlpTolerance)
             << "entry " << i << " slope " << slope;
@@ -446,11 +438,11 @@ TEST(Simd, UnimodalAndSteppedLanesMatchOracleOnEveryBackend) {
     // Beyond-max_size crossings must punt to the scalar bisection: with a
     // slope so shallow every crossing clears even max_size·2^256 the
     // answers are exactly the per-entry results, bracket expansion and its
-    // saturation tally included.
-    std::int64_t& tally = core::detail::bracket_saturation_tally();
-    const std::int64_t before = tally;
-    c.intersect_all(1e-300, xs);
-    EXPECT_GT(tally, before) << "saturating brackets must be tallied";
+    // saturation count included.
+    core::SolveContext saturating = backend_context(k);
+    c.intersect_all(1e-300, xs, &saturating);
+    EXPECT_GT(saturating.counters.bracket_saturations, 0)
+        << "saturating brackets must be counted";
     for (std::size_t i = 0; i < list.size(); ++i)
       EXPECT_EQ(xs[i], list[i]->intersect(1e-300)) << "entry " << i;
   }
@@ -479,13 +471,12 @@ TEST(Simd, EightWidePuntBoundaryFuzz) {
   for (const auto& f : owned) list.push_back(f.get());
   const auto c = CompiledSpeedList::compile(list);
   std::vector<double> xs(list.size());
-  BackendGuard restore;
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    core::SolveContext ctx = backend_context(k);
     for (const double slope :
          {1e2, 1.0, 1e-30, 1e-120, 1e-200, 1e-285, 1e-295, 1e-305}) {
-      c.intersect_all(slope, xs);
+      c.intersect_all(slope, xs, &ctx);
       for (std::size_t i = 0; i < list.size(); ++i)
         EXPECT_LE(rel_diff(xs[i], list[i]->intersect(slope)), kUlpTolerance)
             << "entry " << i << " slope " << slope;
@@ -498,25 +489,21 @@ TEST(Simd, RegistryAlgorithmsEquivalentOnEveryBackend) {
   const core::SpeedList list = fleet.list();
   const std::int64_t n = 40'000'000;
   std::vector<core::PartitionResult> oracle;
-  {
-    SimdToggle off(false);
-    for (const core::PartitionerInfo& info :
-         core::partitioner_registry().entries()) {
-      core::PartitionPolicy policy;
-      policy.algorithm = info.id;
-      oracle.push_back(core::partition(list, n, policy));
-    }
+  for (const core::PartitionerInfo& info :
+       core::partitioner_registry().entries()) {
+    core::PartitionPolicy policy;
+    policy.algorithm = info.id;
+    oracle.push_back(partition_on(list, n, policy, scalar_context()));
   }
-  BackendGuard restore;
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    const core::SolveContext ctx = backend_context(k);
     std::size_t a = 0;
     for (const core::PartitionerInfo& info :
          core::partitioner_registry().entries()) {
       core::PartitionPolicy policy;
       policy.algorithm = info.id;
-      const core::PartitionResult r = core::partition(list, n, policy);
+      const core::PartitionResult r = partition_on(list, n, policy, ctx);
       EXPECT_EQ(r.distribution.total(), n) << info.id;
       EXPECT_LE(rel_diff(makespan(list, r.distribution.counts),
                          makespan(list, oracle[a].distribution.counts)),
@@ -539,20 +526,19 @@ TEST(Simd, SpeedsAtMatchesPerEntrySpeeds) {
   // Scalar mode: the batched sweep is the same per-entry arithmetic in a
   // different loop — bit-identical.
   {
-    SimdToggle off(false);
-    core::EvalCounters counters;
-    const std::vector<double> got = core::speeds_at(c, xs, &counters);
-    EXPECT_EQ(counters.speed_evals, static_cast<std::int64_t>(list.size()));
+    core::SolveContext scalar = scalar_context();
+    const std::vector<double> got = core::speeds_at(c, xs, &scalar);
+    EXPECT_EQ(scalar.counters.speed_evals,
+              static_cast<std::int64_t>(list.size()));
     for (std::size_t i = 0; i < list.size(); ++i)
       EXPECT_EQ(got[i], list[i]->speed(xs[i])) << "entry " << i;
   }
   // Vector mode, every backend: power/exp lanes run the polynomial kernels,
   // everything else stays bit-identical.
-  BackendGuard restore;
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
-    const std::vector<double> got = core::speeds_at(c, xs, nullptr);
+    core::SolveContext ctx = backend_context(k);
+    const std::vector<double> got = core::speeds_at(c, xs, &ctx);
     for (std::size_t i = 0; i < list.size(); ++i)
       EXPECT_LE(rel_diff(got[i], list[i]->speed(xs[i])), kUlpTolerance)
           << "entry " << i;
@@ -567,43 +553,44 @@ TEST(Simd, SizesAtBitIdenticalPerAlgorithmSlopesInScalarMode) {
   const core::SyntheticFleet fleet = core::make_synthetic_fleet(128, 29);
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
-  SimdToggle off(false);
+  core::SolveContext scalar = scalar_context();
   for (const core::PartitionerInfo& info :
        core::partitioner_registry().entries()) {
     core::PartitionPolicy policy;
     policy.algorithm = info.id;
-    const core::PartitionResult r = core::partition(list, 5'000'000, policy);
+    const core::PartitionResult r =
+        core::partition(c, 5'000'000, policy, scalar);
     const double slope = r.stats.final_slope;
     if (!(slope > 0.0)) continue;  // bounded may finish outside the bracket
-    const std::vector<double> batched = core::sizes_at(c, slope, nullptr);
+    const std::vector<double> batched = core::sizes_at(c, slope, &scalar);
     std::vector<double> per_entry(c.size());
     for (std::size_t i = 0; i < c.size(); ++i)
-      per_entry[i] = c.intersect(i, slope);
+      per_entry[i] = c.intersect(i, slope, &scalar);
     EXPECT_EQ(batched, per_entry) << info.id;
   }
 }
 
-// --- Backend forcing / rejection. ---------------------------------------
+// --- Backend selection / rejection. -------------------------------------
 
 TEST(Simd, ForceBackendRoundTripsAndRejectsUnknownNames) {
-  BackendGuard restore;
-  EXPECT_THROW(core::force_simd_backend("bogus"), std::invalid_argument);
-  EXPECT_THROW(core::force_simd_backend(""), std::invalid_argument);
+  EXPECT_THROW(core::SolveContext::for_backend("bogus"),
+               std::invalid_argument);
+  EXPECT_THROW(core::SolveContext::for_backend(""), std::invalid_argument);
   for (const auto* k : core::detail::simd::compiled_simd_variants()) {
     if (!core::detail::simd::simd_variant_supported(*k)) {
-      // Compiled in but not runnable here: forcing must refuse, not crash.
-      EXPECT_THROW(core::force_simd_backend(k->name), std::invalid_argument);
+      // Compiled in but not runnable here: selecting must refuse, not crash.
+      EXPECT_THROW(backend_context(k), std::invalid_argument);
       continue;
     }
-    core::force_simd_backend(k->name);
-    EXPECT_TRUE(core::simd_kernels_enabled());
-    EXPECT_STREQ(core::to_string(core::active_simd_backend()), k->name);
+    const core::SolveContext ctx = backend_context(k);
+    EXPECT_EQ(ctx.kernels(), k);
+    EXPECT_STREQ(core::to_string(ctx.backend()), k->name);
   }
-  core::force_simd_backend("off");
-  EXPECT_EQ(core::active_simd_backend(), core::SimdBackend::Disabled);
-  core::force_simd_backend("auto");
+  EXPECT_EQ(scalar_context().kernels(), nullptr);
+  EXPECT_EQ(scalar_context().backend(), core::SimdBackend::Disabled);
   if (core::simd_kernels_available()) {
-    EXPECT_NE(core::active_simd_backend(), core::SimdBackend::Disabled);
+    EXPECT_NE(core::SolveContext::for_backend("auto").backend(),
+              core::SimdBackend::Disabled);
   }
 }
 
@@ -612,14 +599,71 @@ TEST(Simd, ForceBackendRoundTripsAndRejectsUnknownNames) {
 TEST(Simd, BackendIntrospectionIsConsistent) {
   const bool available = core::simd_kernels_available();
   const core::SimdBackend backend = core::active_simd_backend();
+  EXPECT_EQ(backend, core::SolveContext().backend());
   if (!available) {
     EXPECT_EQ(backend, core::SimdBackend::Disabled);
   } else {
-    SimdToggle on(true);
-    EXPECT_NE(core::active_simd_backend(), core::SimdBackend::Disabled);
-    SimdToggle off(false);
-    EXPECT_EQ(core::active_simd_backend(), core::SimdBackend::Disabled);
+    EXPECT_NE(core::SolveContext::for_backend("auto").backend(),
+              core::SimdBackend::Disabled);
+    EXPECT_EQ(scalar_context().backend(), core::SimdBackend::Disabled);
   }
+}
+
+// --- Concurrent solves on different contexts. ---------------------------
+
+/// Everything a solve answers: the distribution, the stats that describe
+/// the search, and the sizes of its final line.
+struct Answer {
+  core::PartitionResult result;
+  std::vector<double> sizes;
+
+  bool operator==(const Answer& o) const {
+    const core::PartitionStats& a = result.stats;
+    const core::PartitionStats& b = o.result.stats;
+    return result.distribution.counts == o.result.distribution.counts &&
+           a.final_slope == b.final_slope && a.iterations == b.iterations &&
+           a.speed_evals == b.speed_evals &&
+           a.intersect_solves == b.intersect_solves &&
+           a.bracket_saturations == b.bracket_saturations && sizes == o.sizes;
+  }
+};
+
+TEST(Simd, ConcurrentSolvesOnDifferentContextsDoNotInterfere) {
+  // Two threads solve one model at the same time, one on the scalar
+  // context and one on the SIMD context. With a process-wide kernel switch
+  // one caller could flip the other's kernels mid-solve; with contexts each
+  // must get exactly the answer its context gives alone. p is above
+  // kParallelSweepEntries, so both also share the lane pool.
+  core::detail::set_lane_pool_threads(2);
+  const core::SyntheticFleet fleet = core::make_synthetic_fleet(1100, 31);
+  const auto c = CompiledSpeedList::compile(fleet.list());
+  const std::int64_t n = 100'000'000;
+  const core::SolveContext contexts[2] = {scalar_context(), simd_context()};
+  const double probe =
+      core::partition(c, n, {}, contexts[0]).stats.final_slope;
+  const auto solve = [&](const core::SolveContext& ctx) {
+    Answer a;
+    a.result = core::partition(c, n, {}, ctx);
+    core::SolveContext sweep = ctx;
+    a.sizes = core::sizes_at(c, probe, &sweep);
+    return a;
+  };
+  const Answer alone[2] = {solve(contexts[0]), solve(contexts[1])};
+  if (contexts[1].kernels() != nullptr) {
+    EXPECT_NE(alone[0].sizes, alone[1].sizes)
+        << "the two contexts must answer differently for the check to bite";
+  }
+
+  std::atomic<int> mismatches[2] = {0, 0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 10; ++rep)
+        if (!(solve(contexts[t]) == alone[t])) ++mismatches[t];
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches[0].load(), 0) << "scalar context";
+  EXPECT_EQ(mismatches[1].load(), 0) << "SIMD context";
 }
 
 }  // namespace

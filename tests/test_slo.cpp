@@ -443,9 +443,10 @@ class StallOnceSpeed final : public core::SpeedFunction {
   explicit StallOnceSpeed(std::chrono::milliseconds stall) : stall_(stall) {}
   double speed(double x) const override { return 90.0 / (1.0 + x / 1e7); }
   double max_size() const override { return 1e9; }
-  double intersect(double slope) const override {
+  double intersect(double slope,
+                   std::int64_t* saturations = nullptr) const override {
     if (armed_.exchange(false)) std::this_thread::sleep_for(stall_);
-    return SpeedFunction::intersect(slope);
+    return SpeedFunction::intersect(slope, saturations);
   }
   void arm() { armed_ = true; }
 

@@ -255,8 +255,7 @@ TEST(WarmStart, BatchedSweepsMatchPerEntryIntersectsOnEverySearchLine) {
   // equivalence gate lives in tests/test_simd.cpp); this test pins the
   // batched-vs-per-entry bit-identity contract of the scalar kernels on
   // every line each registry algorithm evaluates.
-  const bool simd_was = simd_kernels_enabled();
-  set_simd_kernels(false);
+  SolveContext scalar = SolveContext::for_backend("off");
   std::vector<Ensemble> ensembles = fpm::test::all_ensembles(6);
   ensembles.push_back(fpm::test::mixed_ensemble());
   for (const Ensemble& e : ensembles) {
@@ -275,21 +274,20 @@ TEST(WarmStart, BatchedSweepsMatchPerEntryIntersectsOnEverySearchLine) {
           slopes.push_back(s.slope);
         }
       };
-      (void)partition(compiled, kN, policy);
+      (void)partition(compiled, kN, policy, scalar);
       ASSERT_GT(slopes.size(), 2u);
       for (const double slope : slopes) {
         std::vector<double> per_entry(compiled.size());
         double total = 0.0;
         for (std::size_t i = 0; i < compiled.size(); ++i) {
-          per_entry[i] = compiled.intersect(i, slope);
+          per_entry[i] = compiled.intersect(i, slope, &scalar);
           total += per_entry[i];
         }
-        EXPECT_EQ(sizes_at(compiled, slope, nullptr), per_entry) << slope;
-        EXPECT_EQ(total_size_at(compiled, slope, nullptr), total) << slope;
+        EXPECT_EQ(sizes_at(compiled, slope, &scalar), per_entry) << slope;
+        EXPECT_EQ(total_size_at(compiled, slope, &scalar), total) << slope;
       }
     }
   }
-  set_simd_kernels(simd_was);
 }
 
 TEST(WarmStart, BatchPlanCoversClosedFormFamilies) {

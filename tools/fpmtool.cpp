@@ -35,12 +35,13 @@
 //       approximately from the hint store, or shed) and --priority
 //       low|normal|high sets its class; the report then adds the
 //       admitted/degraded/shed outcome mix and deadline misses. --simd
-//       pins the vector backend of the batch kernels (auto|off|portable|
+//       picks the vector backend of the batch kernels (auto|off|portable|
 //       avx2|avx512|neon; names not compiled in or not supported by this
-//       CPU are rejected with exit status 1), overriding the
-//       FPM_SIMD_BACKEND environment variable, which is validated just as
-//       strictly when the flag is absent; the active backend is echoed in
-//       the report and in the --json summary.
+//       CPU are rejected with exit status 1): it builds the SolveContext
+//       every solve of the run uses, direct or through the server. It
+//       overrides the FPM_SIMD_BACKEND environment variable, which is
+//       validated just as strictly when the flag is absent; the backend is
+//       echoed in the report and in the --json summary.
 //   partition --list-algorithms
 //       Print the registered partitioners (id, cost, description).
 //   simulate --app NAME --n MATRIX_N [--cluster FILE] [--reference REF_N]
@@ -101,7 +102,8 @@ int usage() {
          "          [--single-number REF] [--csv] [--repeat R] [--threads T]"
          " [--json] [--metrics]\n"
          "          [--deadline-ms MS] [--priority low|normal|high]\n"
-         "          [--simd auto|off|portable|avx2|avx512|neon]\n"
+         "          [--simd auto|off|portable|avx2|avx512|neon]"
+         " (default: FPM_SIMD_BACKEND, else auto)\n"
          "  fpmtool partition --list-algorithms\n"
          "  fpmtool simulate --app NAME --n MATRIX_N [--cluster FILE] "
          "[--reference REF_N]\n"
@@ -330,15 +332,16 @@ int cmd_partition(const util::CliArgs& args) {
   if (const auto bounds = args.get("--bounds"))
     policy.bounds = parse_bounds_csv(*bounds);
 
-  // SIMD backend selection for the batch kernels: --simd wins; with the
-  // flag absent, an FPM_SIMD_BACKEND environment value is validated here so
-  // a typo fails the run loudly (the library alone would silently ignore
+  // The solve context of the run: --simd wins; with the flag absent, an
+  // FPM_SIMD_BACKEND environment value is validated here so a typo fails
+  // the run loudly (the library's default context would silently ignore
   // it and keep auto dispatch). Bad names/unsupported ISAs throw
   // std::invalid_argument -> exit status 1.
+  core::SolveContext ctx;
   if (const auto simd = args.get("--simd"))
-    core::force_simd_backend(*simd);
+    ctx = core::SolveContext::for_backend(*simd);
   else if (const char* env = std::getenv("FPM_SIMD_BACKEND"))
-    core::force_simd_backend(env);
+    ctx = core::SolveContext::for_backend(env);
   core::StepTrace trace;
   if (args.flag("--trace")) policy.observer = trace.observer();
 
@@ -372,7 +375,7 @@ int cmd_partition(const util::CliArgs& args) {
   if (slo.has_deadline() && repeat == 1 && threads == 0) {
     // One SLO-aware request: report the outcome explicitly; a shed request
     // has no partition to print.
-    core::PartitionServer server({.threads = 1});
+    core::PartitionServer server({.threads = 1, .solve_context = ctx});
     const core::ServeResult r = server.serve_slo(speeds, n, policy, slo);
     std::cout << "slo: status=" << core::to_string(r.status)
               << " shed_reason=" << core::to_string(r.shed_reason)
@@ -396,6 +399,7 @@ int cmd_partition(const util::CliArgs& args) {
     const unsigned clients = threads == 0 ? 1 : threads;
     core::ServerOptions sopts;
     sopts.threads = 1;  // serve() runs on the client threads; pool is idle
+    sopts.solve_context = ctx;
     core::PartitionServer server(sopts);
     std::vector<double> latency_ms(static_cast<std::size_t>(repeat), 0.0);
     core::PartitionResult first_result;
@@ -487,8 +491,7 @@ int cmd_partition(const util::CliArgs& args) {
       std::cout << "{\"requests\":" << repeat << ",\"threads\":" << clients
                 << ",\"seconds\":" << util::fmt(seconds, 6)
                 << ",\"req_per_s\":" << util::fmt(rate, 1)
-                << ",\"simd_backend\":\""
-                << core::to_string(core::active_simd_backend())
+                << ",\"simd_backend\":\"" << core::to_string(ctx.backend())
                 << "\",\"latency_ms\":{\"p50\":" << util::fmt(p50, 6)
                 << ",\"p95\":" << util::fmt(p95, 6) << ",\"p99\":"
                 << util::fmt(p99, 6) << ",\"min\":"
@@ -496,7 +499,8 @@ int cmd_partition(const util::CliArgs& args) {
                 << util::fmt(util::max_of(latency_ms), 6) << ",\"mean\":"
                 << util::fmt(util::mean(latency_ms), 6) << "}}\n";
   } else {
-    result = core::partition(speeds, n, policy);
+    result = core::partition(core::CompiledSpeedList::compile(speeds), n,
+                             policy, ctx);
   }
 
   std::optional<core::Distribution> baseline;
@@ -526,8 +530,7 @@ int cmd_partition(const util::CliArgs& args) {
             << " (" << result.stats.iterations << " iterations, "
             << result.stats.speed_evals << " speed evals, "
             << result.stats.intersect_solves << " intersection solves)\n";
-  std::cout << "simd backend: " << core::to_string(core::active_simd_backend())
-            << "\n";
+  std::cout << "simd backend: " << core::to_string(ctx.backend()) << "\n";
   if (baseline)
     std::cout << "single-number makespan: "
               << core::makespan(speeds, *baseline) << "\n";
